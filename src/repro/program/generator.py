@@ -31,7 +31,7 @@ from repro.program.blocks import Function, Program, StaticBasicBlock
 from repro.program.memgen import AddressGenerator, ChaseGenerator, \
     StackGenerator, StrideGenerator
 from repro.program.profiles import SPECINT2000, BenchmarkProfile
-from repro.util.bits import mix64
+from repro.util.bits import mix64, presalted, splitmix64
 
 CODE_BASE = 0x0040_0000
 """Base address of the code segment."""
@@ -47,13 +47,14 @@ _MAX_BLOCK = 32
 _MAX_LOOP_TRIP = 64
 _CALL_REACH = 8          # function i may call (i, i + reach]
 _ARCH_REGS = range(1, 31)  # r0 reserved as zero, r31 as link
+_STRIDES = (8, 8, 16, 64)  # strided-walk steps in bytes, 8 twice as likely
 
 
 @dataclass
 class _BlockPlan:
     """Planned shape of one basic block before instantiation."""
 
-    size: int                      # instructions, terminator included
+    gamma: float                   # unit-scale size sample, see _block_size
     kind: BranchKind
     local_target: int = -1         # target block index within function
     callee_fid: int = -1           # for calls
@@ -70,16 +71,19 @@ def _name_salt(name: str) -> int:
     return mix64(*name.encode())
 
 
-def _sample_block_size(rng: random.Random, mean: float) -> int:
-    """Sample a block size averaging ``mean`` dynamically, clipped to [1, 32].
+def _block_size(gamma: float, mean: float) -> int:
+    """Block size averaging ``mean`` dynamically, clipped to [1, 32].
 
     The +0.45 term compensates the truncation of the gamma sample and the
     execution weighting of loop bodies, calibrated against
     :func:`repro.trace.walker.dynamic_stats` over the twelve profiles.
+    ``gamma`` is ``gammavariate(2.0, 1.0)``: CPython returns
+    ``gammavariate(2.0, beta)`` as that same sample times ``beta``, so
+    calibration rescales sizes without drawing the plan again.
     """
     if mean <= 1.0:
         return 1
-    body = rng.gammavariate(2.0, (mean - 0.55) / 2.0)
+    body = gamma * ((mean - 0.55) / 2.0)
     return max(1, min(_MAX_BLOCK, 1 + round(body)))
 
 
@@ -89,14 +93,14 @@ def _sample_trip(rng: random.Random, mean: float) -> int:
 
 
 def _plan_function(rng: random.Random, size_rng: random.Random,
-                   profile: BenchmarkProfile,
-                   fid: int, size_scale: float) -> _FunctionPlan:
-    """Pass 1: choose block sizes and terminators for one function.
+                   profile: BenchmarkProfile, fid: int) -> _FunctionPlan:
+    """Pass 1: choose block size samples and terminators for one function.
 
     Structure comes from ``rng`` and sizes from ``size_rng``: the
     calibration loop in :func:`generate_program` rescales sizes without
     perturbing the CFG, which keeps the measured dynamic block size a
-    smooth function of the scale.
+    smooth function of the scale.  Neither stream depends on the scale,
+    so one plan serves every calibration pass.
     """
     mean_blocks = profile.blocks_per_function
     n = max(4, min(3 * mean_blocks,
@@ -106,19 +110,18 @@ def _plan_function(rng: random.Random, size_rng: random.Random,
     loop_depth = 0   # crude nesting guard: avoid towers of backward branches
 
     for i in range(n):
-        size = _sample_block_size(size_rng,
-                                  profile.avg_bb_size * size_scale)
+        gamma = size_rng.gammavariate(2.0, 1.0)
         if i == n - 1:
             # Function epilogue: main loops forever, others return.
             if fid == 0:
-                plan.blocks.append(_BlockPlan(size, BranchKind.JUMP,
+                plan.blocks.append(_BlockPlan(gamma, BranchKind.JUMP,
                                               local_target=0))
             else:
-                plan.blocks.append(_BlockPlan(size, BranchKind.RET))
+                plan.blocks.append(_BlockPlan(gamma, BranchKind.RET))
             continue
         if i >= n - 3:
             # Keep the tail simple so forward targets always exist.
-            plan.blocks.append(_BlockPlan(size, BranchKind.JUMP,
+            plan.blocks.append(_BlockPlan(gamma, BranchKind.JUMP,
                                           local_target=i + 1))
             continue
 
@@ -130,7 +133,7 @@ def _plan_function(rng: random.Random, size_rng: random.Random,
             span = 2 + int(rng.expovariate(1.0 / 2.5))
             back = max(0, i - min(span, 8))
             trip = _sample_trip(rng, profile.loop_trip_mean)
-            plan.blocks.append(_BlockPlan(size, BranchKind.COND,
+            plan.blocks.append(_BlockPlan(gamma, BranchKind.COND,
                                           local_target=back,
                                           behavior_spec=("loop", trip)))
             loop_depth += 1
@@ -141,13 +144,13 @@ def _plan_function(rng: random.Random, size_rng: random.Random,
             callee = rng.randint(fid + 1,
                                  min(profile.n_functions - 1,
                                      fid + _CALL_REACH))
-            plan.blocks.append(_BlockPlan(size, BranchKind.CALL,
+            plan.blocks.append(_BlockPlan(gamma, BranchKind.CALL,
                                           callee_fid=callee))
             continue
         r -= profile.p_call
         if r < profile.p_jump:
             skip = 1 if rng.random() < 0.6 else 2
-            plan.blocks.append(_BlockPlan(size, BranchKind.JUMP,
+            plan.blocks.append(_BlockPlan(gamma, BranchKind.JUMP,
                                           local_target=min(i + skip, n - 1)))
             continue
         r -= profile.p_jump
@@ -156,7 +159,7 @@ def _plan_function(rng: random.Random, size_rng: random.Random,
             hi = min(i + 8, n - 1)
             targets = tuple(sorted({rng.randint(i + 1, hi)
                                     for _ in range(fanout)}))
-            plan.blocks.append(_BlockPlan(size, BranchKind.IND_JUMP,
+            plan.blocks.append(_BlockPlan(gamma, BranchKind.IND_JUMP,
                                           ind_targets=targets,
                                           behavior_spec=("ind",)))
             continue
@@ -169,7 +172,7 @@ def _plan_function(rng: random.Random, size_rng: random.Random,
             spec = ("fwd_pattern",)
         else:
             spec = ("fwd_rare",)
-        plan.blocks.append(_BlockPlan(size, BranchKind.COND,
+        plan.blocks.append(_BlockPlan(gamma, BranchKind.COND,
                                       local_target=target,
                                       behavior_spec=spec))
     _demote_hard_branches_in_loops(plan)
@@ -196,48 +199,6 @@ def _demote_hard_branches_in_loops(plan: _FunctionPlan) -> None:
         if block_plan.behavior_spec \
                 and block_plan.behavior_spec[0] == "fwd_hard":
             block_plan.behavior_spec = ("fwd_rare",)
-
-
-class _DataArena:
-    """Carves shared data regions and hands out address generators.
-
-    The profile's working set is a *program* property: all chase
-    generators point into one shared heap region of ``ws_kb`` so the
-    union of their footprints equals the working set, and stride
-    generators rotate through a few medium arrays.
-    """
-
-    def __init__(self, rng: random.Random, profile: BenchmarkProfile,
-                 salt: int) -> None:
-        self._rng = rng
-        self._profile = profile
-        self._salt = salt
-        self._serial = 0
-        ws_bytes = profile.ws_kb * 1024
-        self._heap_base = DATA_BASE
-        self._heap_bytes = max(ws_bytes, 4096)
-        # Hot strided arrays stay small: real ILP-class SPECint keeps its
-        # inner-loop data close to L1-resident; the big working set is
-        # reached through the chase generators over the heap region.
-        array_bytes = max(2 * 1024, min(16 * 1024, ws_bytes // 32))
-        self._arrays = [self._heap_base + self._heap_bytes + k * array_bytes
-                        for k in range(8)]
-        self._array_bytes = array_bytes
-        self._next_array = 0
-
-    def make_generator(self) -> AddressGenerator:
-        """Return an address generator drawn from the profile's mix."""
-        self._serial += 1
-        salt = mix64(self._salt, 0xDA7A, self._serial)
-        r = self._rng.random()
-        if r < self._profile.chase_frac:
-            return ChaseGenerator(self._heap_base, self._heap_bytes, salt)
-        if r < self._profile.chase_frac + self._profile.stride_frac:
-            base = self._arrays[self._next_array % len(self._arrays)]
-            self._next_array += 1
-            stride = self._rng.choice((8, 8, 16, 64))
-            return StrideGenerator(base, stride, self._array_bytes)
-        return StackGenerator(STACK_BASE, _STACK_REGION_BYTES, salt)
 
 
 def _make_pattern(rng: random.Random, taken_p: float) -> tuple[bool, ...]:
@@ -307,15 +268,21 @@ def generate_program(profile: BenchmarkProfile, seed: int = 0) -> Program:
     profile's Table 1 target (execution weighting of loop bodies would
     otherwise skew individual seeds by 10-20%).
     """
+    salt = mix64(seed, _name_salt(profile.name))
+    rng = random.Random(salt)
+    size_rng = random.Random(mix64(salt, 0x512E))
+    plans = [_plan_function(rng, size_rng, profile, fid)
+             for fid in range(profile.n_functions)]
+    rng_state = rng.getstate()
     scale = 1.0
-    program = _generate_once(profile, seed, scale)
+    program = _instantiate(profile, seed, salt, plans, rng_state, scale)
     for _ in range(4):
         measured = _measure_dynamic_block_size(program)
         rel = measured / profile.avg_bb_size
         if 0.96 <= rel <= 1.04:
             break
         scale = min(2.5, max(0.4, scale / rel))
-        program = _generate_once(profile, seed, scale)
+        program = _instantiate(profile, seed, salt, plans, rng_state, scale)
     return program
 
 
@@ -324,43 +291,93 @@ def _measure_dynamic_block_size(program: Program,
     """Dynamic instructions-per-branch along the correct path."""
     # Imported here to avoid a package-level cycle: repro.trace depends on
     # repro.program for its data types.
-    from repro.trace.context import ThreadContext
+    from repro.trace.walker import correct_path_counts
 
-    ctx = ThreadContext(program)
-    branches = 0
-    for _ in range(instructions):
-        static = program.instr_at(ctx.pc)
-        if static is None:  # pragma: no cover - validated programs are total
-            raise RuntimeError(f"unmapped architectural pc {ctx.pc:#x}")
-        if static.is_branch:
-            branches += 1
-        ctx.step(static)
+    branches = correct_path_counts(program, instructions)[1]
     return instructions / max(branches, 1)
 
 
-def _generate_once(profile: BenchmarkProfile, seed: int,
-                   size_scale: float) -> Program:
-    salt = mix64(seed, _name_salt(profile.name))
-    rng = random.Random(salt)
-    size_rng = random.Random(mix64(salt, 0x512E))
+def _instantiate(profile: BenchmarkProfile, seed: int, salt: int,
+                 plans: list[_FunctionPlan], rng_state: tuple,
+                 size_scale: float) -> Program:
+    """Passes 2 and 3: lay out the planned blocks and emit the program.
 
-    plans = [_plan_function(rng, size_rng, profile, fid, size_scale)
-             for fid in range(profile.n_functions)]
+    ``rng_state`` is the structural generator's state after planning;
+    each calibration pass restarts from it.  This loop is specialised
+    for speed, yet makes exactly the draws of its readable form:
+
+    * ``rng.choice(seq)`` is ``seq[_randbelow(len(seq))]``, inlined as
+      CPython's rejection loop on ``getrandbits(len(seq).bit_length())``;
+    * hash salts fold their constant :func:`mix64` prefixes once per
+      program or function and finish with one :func:`splitmix64` round;
+    * returns, calls and jumps ignore their terminator generator's
+      draws, so they never seed one.
+
+    ``tests/program/program_digests.json`` pins the output byte for
+    byte; see :mod:`repro.program.digest`.
+    """
+    mean = profile.avg_bb_size * size_scale
+    sizes = [[_block_size(block_plan.gamma, mean)
+              for block_plan in plan.blocks] for plan in plans]
 
     # Pass 2: layout. Function f starts where f-1 ended.
     func_entry_addr: list[int] = []
     block_addr: list[list[int]] = []
     addr = CODE_BASE
-    for plan in plans:
+    for fsizes in sizes:
         func_entry_addr.append(addr)
         addrs = []
-        for block_plan in plan.blocks:
+        for size in fsizes:
             addrs.append(addr)
-            addr += block_plan.size * INSTR_BYTES
+            addr += size * INSTR_BYTES
         block_addr.append(addrs)
 
     # Pass 3: instantiate.
-    arena = _DataArena(rng, profile, salt)
+    rng = random.Random()
+    rng.setstate(rng_state)
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+
+    # Data regions.  The profile's working set is a *program* property:
+    # all chase generators point into one shared heap region of ``ws_kb``
+    # so the union of their footprints equals the working set, and stride
+    # generators rotate through a few medium arrays.  Hot strided arrays
+    # stay small: real ILP-class SPECint keeps its inner-loop data close
+    # to L1-resident; the big working set is reached through the chase
+    # generators over the heap region.
+    ws_bytes = profile.ws_kb * 1024
+    heap_bytes = max(ws_bytes, 4096)
+    array_bytes = max(2 * 1024, min(16 * 1024, ws_bytes // 32))
+    arrays = [DATA_BASE + heap_bytes + k * array_bytes for k in range(8)]
+    next_array = 0
+    # mix64(*prefix, n) == splitmix64(mix64(*prefix) ^ n) for 0 <= n < 2**64.
+    memgen_prefix = mix64(salt, 0xDA7A)
+    serial = 0
+
+    load_frac = profile.load_frac
+    store_frac = profile.store_frac
+    mul_frac = profile.mul_frac
+    fp_frac = profile.fp_frac
+    chase_frac = profile.chase_frac
+    chase_or_stride = profile.chase_frac + profile.stride_frac
+    chase_chain_p = profile.chase_chain_p
+    dep_window = profile.dep_window
+    boost = _mix_boost(profile)
+    n_regs = len(_ARCH_REGS)
+    reg_bits = n_regs.bit_length()
+    n_strides = len(_STRIDES)
+    stride_bits = n_strides.bit_length()
+
+    new_instr = StaticInstruction
+    not_branch = BranchKind.NOT_BRANCH
+    load, store = InstrClass.LOAD, InstrClass.STORE
+    int_alu, int_mul, fp_alu = InstrClass.INT_ALU, InstrClass.INT_MUL, \
+        InstrClass.FP_ALU
+    branch = InstrClass.BRANCH
+    cond, jump, call, ind_jump = BranchKind.COND, BranchKind.JUMP, \
+        BranchKind.CALL, BranchKind.IND_JUMP
+    ret = BranchKind.RET
+
     behaviors: list[BranchBehavior] = []
     memgens: list[AddressGenerator] = []
     blocks: list[StaticBasicBlock] = []
@@ -368,45 +385,148 @@ def _generate_once(profile: BenchmarkProfile, seed: int,
     sid = 0
     bid = 0
 
-    boost = _mix_boost(profile)
     for fid, plan in enumerate(plans):
+        fsizes = sizes[fid]
+        faddrs = block_addr[fid]
+        term_prefix = mix64(salt, 0xBEAF, fid)
+        behavior_prefix = mix64(salt, fid)
         block_ids: list[int] = []
         recent_dests: list[int] = []
         recent_alu_dests: list[int] = []
         last_load_dest = -1
         for local_idx, block_plan in enumerate(plan.blocks):
-            start = block_addr[fid][local_idx]
+            start = faddrs[local_idx]
+            size = fsizes[local_idx]
             instrs: list[StaticInstruction] = []
-            for slot in range(block_plan.size - 1):
-                instr_addr = start + slot * INSTR_BYTES
-                instrs.append(_make_body_instr(
-                    rng, profile, arena, memgens, sid, instr_addr,
-                    recent_dests, last_load_dest, boost))
-                if instrs[-1].opclass == InstrClass.LOAD:
-                    last_load_dest = instrs[-1].dest
-                elif instrs[-1].opclass == InstrClass.INT_ALU \
-                        and instrs[-1].dest >= 0:
-                    # Branch conditions prefer these: induction-variable
-                    # style operands that resolve in one cycle.
-                    recent_alu_dests.append(instrs[-1].dest)
-                    if len(recent_alu_dests) > 4:
-                        recent_alu_dests.pop(0)
-                if instrs[-1].dest >= 0:
-                    recent_dests.append(instrs[-1].dest)
-                    if len(recent_dests) > profile.dep_window:
+            append = instrs.append
+            instr_addr = start
+            for _ in range(size - 1):
+                # One non-branch instruction with realistic dependences.
+                r = random_() / boost
+                n_recent = len(recent_dests)
+                if n_recent:
+                    roll = random_()
+                    if roll < 0.25:
+                        srcs = ()       # immediate/constant operands
+                    else:
+                        k = n_recent.bit_length()
+                        i = getrandbits(k)
+                        while i >= n_recent:
+                            i = getrandbits(k)
+                        if n_recent == 1 or roll < 0.70:
+                            srcs = (recent_dests[i],)
+                        else:
+                            j = getrandbits(k)
+                            while j >= n_recent:
+                                j = getrandbits(k)
+                            srcs = (recent_dests[i], recent_dests[j])
+                else:
+                    srcs = ()
+                i = getrandbits(reg_bits)   # rng.choice(_ARCH_REGS)
+                while i >= n_regs:
+                    i = getrandbits(reg_bits)
+                dest = _ARCH_REGS[i]
+                # The class tests below are the readable chain
+                # ``if r < f: ...; r -= f`` over load, store, mul and fp
+                # fractions, with the same float subtractions.
+                if r < load_frac or r - load_frac < store_frac:
+                    # Address generator drawn from the profile's mix.
+                    serial += 1
+                    roll = random_()
+                    if roll < chase_frac:
+                        memgens.append(ChaseGenerator(
+                            DATA_BASE, heap_bytes,
+                            splitmix64(memgen_prefix ^ serial)))
+                    elif roll < chase_or_stride:
+                        base = arrays[next_array % len(arrays)]
+                        next_array += 1
+                        i = getrandbits(stride_bits)
+                        while i >= n_strides:
+                            i = getrandbits(stride_bits)
+                        memgens.append(StrideGenerator(
+                            base, _STRIDES[i], array_bytes))
+                    else:
+                        memgens.append(StackGenerator(
+                            STACK_BASE, _STACK_REGION_BYTES,
+                            splitmix64(memgen_prefix ^ serial)))
+                    if r < load_frac:
+                        if last_load_dest >= 0 \
+                                and random_() < chase_chain_p:
+                            srcs = (last_load_dest,)
+                        append(new_instr(sid, instr_addr, load, not_branch,
+                                         dest, srcs, 0, -1,
+                                         len(memgens) - 1))
+                        last_load_dest = dest
+                    else:
+                        dest = -1
+                        append(new_instr(sid, instr_addr, store,
+                                         not_branch, dest, srcs, 0, -1,
+                                         len(memgens) - 1))
+                else:
+                    r -= load_frac
+                    r -= store_frac
+                    if r < mul_frac:
+                        append(new_instr(sid, instr_addr, int_mul,
+                                         not_branch, dest, srcs))
+                    elif r - mul_frac < fp_frac:
+                        append(new_instr(sid, instr_addr, fp_alu,
+                                         not_branch, dest, srcs))
+                    else:
+                        append(new_instr(sid, instr_addr, int_alu,
+                                         not_branch, dest, srcs))
+                        # Branch conditions prefer these: induction-
+                        # variable style operands that resolve in one
+                        # cycle.
+                        recent_alu_dests.append(dest)
+                        if len(recent_alu_dests) > 4:
+                            recent_alu_dests.pop(0)
+                if dest >= 0:
+                    recent_dests.append(dest)
+                    if len(recent_dests) > dep_window:
                         recent_dests.pop(0)
                 sid += 1
-            term_addr = start + (block_plan.size - 1) * INSTR_BYTES
-            # Behaviour parameters are keyed by structural position
-            # (fid, local_idx) so calibration rescales block sizes
-            # without re-rolling loop trips or branch biases.
-            term_rng = random.Random(mix64(salt, 0xBEAF, fid, local_idx))
-            term_srcs = recent_alu_dests if recent_alu_dests \
-                else recent_dests
-            instrs.append(_make_terminator(
-                term_rng, profile, block_plan, term_addr, sid, fid,
-                block_addr, func_entry_addr, behaviors, term_srcs,
-                mix64(salt, fid, local_idx)))
+                instr_addr += INSTR_BYTES
+
+            # The terminating branch.  Behaviour parameters are keyed by
+            # structural position (fid, local_idx) so calibration
+            # rescales block sizes without re-rolling loop trips or
+            # branch biases.
+            kind = block_plan.kind
+            if kind == ret:
+                term = new_instr(sid, instr_addr, branch, ret)
+            elif kind == call:
+                term = new_instr(sid, instr_addr, branch, call, 31, (),
+                                 func_entry_addr[block_plan.callee_fid])
+            elif kind == jump:
+                term = new_instr(sid, instr_addr, branch, jump, -1, (),
+                                 faddrs[block_plan.local_target])
+            else:
+                term_rng = random.Random(
+                    splitmix64(term_prefix ^ local_idx))
+                srcs = _pick_srcs(term_rng, recent_alu_dests
+                                  if recent_alu_dests else recent_dests)
+                behavior_salt = splitmix64(
+                    presalted(splitmix64(behavior_prefix ^ local_idx))
+                    ^ sid)
+                if kind == cond:
+                    behaviors.append(_make_behavior(
+                        term_rng, profile, block_plan.behavior_spec,
+                        behavior_salt))
+                    term = new_instr(sid, instr_addr, branch, cond, -1,
+                                     srcs, faddrs[block_plan.local_target],
+                                     len(behaviors) - 1)
+                elif kind == ind_jump:
+                    behaviors.append(_make_behavior(
+                        term_rng, profile, block_plan.behavior_spec,
+                        behavior_salt,
+                        ind_targets=tuple(faddrs[t] for t in
+                                          block_plan.ind_targets)))
+                    term = new_instr(sid, instr_addr, branch, ind_jump,
+                                     -1, srcs, 0, len(behaviors) - 1)
+                else:
+                    raise ValueError(
+                        f"unexpected terminator kind {kind!r}")
+            append(term)
             sid += 1
             blocks.append(StaticBasicBlock(bid, fid, start, instrs))
             block_ids.append(bid)
@@ -430,39 +550,9 @@ def _mix_boost(profile: BenchmarkProfile) -> float:
     return min(boost, 0.95 / mix)
 
 
-def _make_body_instr(rng: random.Random, profile: BenchmarkProfile,
-                     arena: _DataArena, memgens: list[AddressGenerator],
-                     sid: int, addr: int, recent_dests: list[int],
-                     last_load_dest: int, boost: float) -> StaticInstruction:
-    """Emit one non-branch instruction with realistic dependences."""
-    r = rng.random() / boost
-    srcs = _pick_srcs(rng, recent_dests)
-    dest = rng.choice(_ARCH_REGS)
-    if r < profile.load_frac:
-        memgens.append(arena.make_generator())
-        if last_load_dest >= 0 and rng.random() < profile.chase_chain_p:
-            srcs = (last_load_dest,)
-        return StaticInstruction(sid, addr, InstrClass.LOAD, dest=dest,
-                                 srcs=srcs, memgen=len(memgens) - 1)
-    r -= profile.load_frac
-    if r < profile.store_frac:
-        memgens.append(arena.make_generator())
-        return StaticInstruction(sid, addr, InstrClass.STORE, dest=-1,
-                                 srcs=srcs, memgen=len(memgens) - 1)
-    r -= profile.store_frac
-    if r < profile.mul_frac:
-        return StaticInstruction(sid, addr, InstrClass.INT_MUL, dest=dest,
-                                 srcs=srcs)
-    r -= profile.mul_frac
-    if r < profile.fp_frac:
-        return StaticInstruction(sid, addr, InstrClass.FP_ALU, dest=dest,
-                                 srcs=srcs)
-    return StaticInstruction(sid, addr, InstrClass.INT_ALU, dest=dest,
-                             srcs=srcs)
-
-
 def _pick_srcs(rng: random.Random,
                recent_dests: list[int]) -> tuple[int, ...]:
+    """Branch-condition operands (the body loop inlines the same draws)."""
     if not recent_dests:
         return ()
     roll = rng.random()
@@ -471,48 +561,6 @@ def _pick_srcs(rng: random.Random,
     if len(recent_dests) == 1 or roll < 0.70:
         return (rng.choice(recent_dests),)
     return (rng.choice(recent_dests), rng.choice(recent_dests))
-
-
-def _make_terminator(rng: random.Random, profile: BenchmarkProfile,
-                     block_plan: _BlockPlan, addr: int, sid: int, fid: int,
-                     block_addr: list[list[int]],
-                     func_entry_addr: list[int],
-                     behaviors: list[BranchBehavior],
-                     recent_dests: list[int],
-                     salt: int) -> StaticInstruction:
-    """Emit the terminating branch of a block from its plan."""
-    kind = block_plan.kind
-    srcs = _pick_srcs(rng, recent_dests)
-    if kind == BranchKind.RET:
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.RET, srcs=())
-    if kind == BranchKind.CALL:
-        target = func_entry_addr[block_plan.callee_fid]
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.CALL, dest=31,
-                                 target_addr=target)
-    if kind == BranchKind.JUMP:
-        target = block_addr[fid][block_plan.local_target]
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.JUMP, target_addr=target)
-    if kind == BranchKind.IND_JUMP:
-        targets = tuple(block_addr[fid][t] for t in block_plan.ind_targets)
-        behavior = _make_behavior(rng, profile, block_plan.behavior_spec,
-                                  mix64(salt, sid), ind_targets=targets)
-        behaviors.append(behavior)
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.IND_JUMP, srcs=srcs,
-                                 behavior=len(behaviors) - 1)
-    if kind == BranchKind.COND:
-        target = block_addr[fid][block_plan.local_target]
-        behavior = _make_behavior(rng, profile, block_plan.behavior_spec,
-                                  mix64(salt, sid))
-        behaviors.append(behavior)
-        return StaticInstruction(sid, addr, InstrClass.BRANCH,
-                                 kind=BranchKind.COND, srcs=srcs,
-                                 target_addr=target,
-                                 behavior=len(behaviors) - 1)
-    raise ValueError(f"unexpected terminator kind {kind!r}")
 
 
 @lru_cache(maxsize=64)

@@ -7,9 +7,10 @@ down *any* predicted path via the basic-block dictionary, while the
 context tracks where the architectural path actually goes and flags the
 first divergence.
 
-``walk`` exposes the plain correct-path instruction stream, used to
-characterise workloads (dynamic basic-block size, taken rate, stream
-lengths) independently of any microarchitecture.
+``walk`` exposes the plain correct-path instruction stream.
+``dynamic_stats`` characterises workloads (dynamic basic-block size,
+taken rate, stream lengths) independently of any microarchitecture,
+with a block-level walker that reproduces ``walk`` exactly.
 """
 
 from repro.trace.context import ThreadContext

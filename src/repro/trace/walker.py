@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.instruction import StaticInstruction
+from repro.isa.instruction import INSTR_BYTES, BranchKind, InstrClass, \
+    StaticInstruction
 from repro.program.blocks import Program
 from repro.trace.context import ThreadContext
 
@@ -26,7 +27,7 @@ def walk(program: Program, max_instructions: int):
     ctx = ThreadContext(program)
     for _ in range(max_instructions):
         static = program.instr_at(ctx.pc)
-        if static is None:  # pragma: no cover - validated programs are total
+        if static is None:
             raise RuntimeError(f"architectural pc {ctx.pc:#x} unmapped")
         taken, target = ctx.step(static)
         yield static, taken, target
@@ -61,21 +62,8 @@ class StreamSummary:
 def dynamic_stats(program: Program,
                   max_instructions: int = 200_000) -> StreamSummary:
     """Measure dynamic block/stream statistics along the correct path."""
-    branches = 0
-    taken_branches = 0
-    loads = 0
-    stores = 0
-    instructions = 0
-    for static, taken, _ in walk(program, max_instructions):
-        instructions += 1
-        if static.is_branch:
-            branches += 1
-            if taken:
-                taken_branches += 1
-        elif static.opclass.name == "LOAD":
-            loads += 1
-        elif static.opclass.name == "STORE":
-            stores += 1
+    instructions, branches, taken_branches, loads, stores = \
+        correct_path_counts(program, max_instructions)
     return StreamSummary(
         instructions=instructions,
         branches=branches,
@@ -86,6 +74,115 @@ def dynamic_stats(program: Program,
         load_frac=loads / max(instructions, 1),
         store_frac=stores / max(instructions, 1),
     )
+
+
+_COND = int(BranchKind.COND)
+_JUMP = int(BranchKind.JUMP)
+_CALL = int(BranchKind.CALL)
+_RET = int(BranchKind.RET)
+_LOAD = int(InstrClass.LOAD)
+_STORE = int(InstrClass.STORE)
+
+
+def _scan_run(instr_at, pc: int) -> tuple:
+    """Summarise the straight-line run starting at ``pc``.
+
+    A run is the sequence of instructions a correct-path walk visits from
+    ``pc`` up to and including the first branch.  Returns
+    ``(size, loads, stores, kind, sid, target, fall, behavior)``: for a
+    branch-terminated run ``kind`` is the terminator's int branch kind,
+    ``fall`` its fall-through address and ``behavior`` the index of its
+    behaviour (or -1); a run that reaches an unmapped address instead has
+    ``kind == 0`` and ``fall`` set to that address, and a run starting at
+    one has ``size == 0``.
+    """
+    size = loads = stores = 0
+    addr = pc
+    while True:
+        static = instr_at(addr)
+        if static is None:
+            return size, loads, stores, 0, -1, 0, addr, -1
+        size += 1
+        if static.kind:
+            return (size, loads, stores, int(static.kind), static.sid,
+                    static.target_addr, addr + INSTR_BYTES, static.behavior)
+        if static.op == _LOAD:
+            loads += 1
+        elif static.op == _STORE:
+            stores += 1
+        addr += INSTR_BYTES
+
+
+def correct_path_counts(program: Program, max_instructions: int
+                        ) -> tuple[int, int, int, int, int]:
+    """Count ``(instructions, branches, taken, loads, stores)`` on the
+    correct path, one straight-line run per step.
+
+    Produces exactly what iterating :func:`walk` would: branch outcomes
+    come from the same behaviour objects with per-``sid`` occurrence
+    counters kept as :class:`ThreadContext` keeps them (including its
+    restart at the entry on a return-stack underflow), a budget that ends
+    mid-run stops on that instruction, and reaching an unmapped pc within
+    the budget raises the same :class:`RuntimeError` as :func:`walk`.
+    The run index is built per call and never stored on ``program``.
+    """
+    instr_at = program.instr_at
+    behaviors = program.behaviors
+    entry = program.entry_addr
+    runs: dict[int, tuple] = {}
+    runs_get = runs.get
+    counts: dict[int, int] = {}
+    counts_get = counts.get
+    call_stack: list[int] = []
+    push = call_stack.append
+    pop = call_stack.pop
+    pc = entry
+    left = max_instructions
+    branches = taken_branches = loads = stores = 0
+    while left > 0:
+        run = runs_get(pc)
+        if run is None:
+            run = runs[pc] = _scan_run(instr_at, pc)
+        size, run_loads, run_stores, kind, sid, target, fall, behavior = run
+        if size > left:
+            # The budget ends inside the run, before its terminator.
+            for k in range(left):
+                op = instr_at(pc + k * INSTR_BYTES).op
+                if op == _LOAD:
+                    loads += 1
+                elif op == _STORE:
+                    stores += 1
+            break
+        left -= size
+        loads += run_loads
+        stores += run_stores
+        if not kind:
+            if not size:
+                raise RuntimeError(f"architectural pc {pc:#x} unmapped")
+            pc = fall
+            continue
+        branches += 1
+        n = counts_get(sid, 0)
+        counts[sid] = n + 1
+        if kind == _COND:
+            if behaviors[behavior].taken(n):
+                taken_branches += 1
+                pc = target
+            else:
+                pc = fall
+            continue
+        taken_branches += 1
+        if kind == _JUMP:
+            pc = target
+        elif kind == _CALL:
+            push(fall)
+            pc = target
+        elif kind == _RET:
+            pc = pop() if call_stack else entry
+        else:
+            pc = behaviors[behavior].target(n)
+    return (max(max_instructions, 0), branches, taken_branches, loads,
+            stores)
 
 
 def first_static(program: Program) -> StaticInstruction:
