@@ -28,7 +28,6 @@ import json
 import sys
 import time
 
-from repro.backend import DEFAULT_BACKEND, available_backends
 from repro.perf import BENCH_GRID, QUICK_GRID, run_bench, speedup_vs
 from repro.perf.bench import DEFAULT_CYCLES, DEFAULT_REPEATS, DEFAULT_WARMUP
 
@@ -47,10 +46,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--repeats", type=int, default=None,
                         help=f"timed repetitions per cell, median "
                              f"reported (default: {DEFAULT_REPEATS})")
-    parser.add_argument("--backend", choices=available_backends(),
-                        default=DEFAULT_BACKEND,
-                        help="simulation backend to time (default: "
-                             f"{DEFAULT_BACKEND})")
     parser.add_argument("--output", "-o", default="BENCH_speed.json",
                         help="report path (default: BENCH_speed.json; "
                              "'-' for stdout only)")
@@ -93,9 +88,8 @@ def main(argv=None) -> None:
 
     t0 = time.time()
     report = run_bench(grid, cycles=args.cycles, warmup=args.warmup,
-                       repeats=args.repeats, progress=progress,
-                       backend=args.backend)
-    print(f"[bench_speed] backend={args.backend} geomean "
+                       repeats=args.repeats, progress=progress)
+    print(f"[bench_speed] geomean "
           f"{report['geomean_kcycles_per_sec']:.1f}"
           f" kcycles/s over {len(report['cells'])} cell(s) "
           f"({time.time() - t0:.0f} s)", file=sys.stderr)

@@ -39,6 +39,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.campaign import StaleCampaignError
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     format_claims, format_figure
 from repro.experiments.cache import DEFAULT_CACHE_DIR
@@ -83,11 +84,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes for uncached cells "
                              "(default: 1, serial)")
-    parser.add_argument("--backend", default=None,
-                        help="simulation backend for uncached cells "
-                             "(see repro.backend; default: reference). "
-                             "Backends are parity-checked, so this "
-                             "never changes a result")
     parser.add_argument("--cycles", type=int, default=None,
                         help="measured cycles per grid cell "
                              "(default: 20000)")
@@ -431,12 +427,11 @@ def run(args) -> None:
             cache_dir=None if args.no_cache else args.cache_dir,
             cycles=args.cycles, warmup=args.warmup,
             cache_budget_entries=args.cache_budget,
-            backend=args.backend,
             retries=args.retries, cell_timeout=args.cell_timeout,
             strict=args.strict,
             campaign_dir=args.campaign_dir)
     except ValueError as exc:
-        # An unknown --backend (with its suggestion list) is a user
+        # An invalid setting (a negative --cache-budget) is a user
         # error: report the message, not a traceback.
         raise SystemExit(f"run_experiments: {exc}") from None
 
@@ -527,6 +522,8 @@ def main(argv=None) -> None:
         detail = f": {exc}" if exc.args else ""
         print(f"run_experiments: interrupted{detail}", file=sys.stderr)
         raise SystemExit(130) from None
+    except StaleCampaignError as exc:
+        raise SystemExit(f"run_experiments: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -42,8 +42,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.backend import get_backend
-from repro.core.config import DEFAULT_CONFIG
+from repro.campaign import StaleCampaignError
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.experiments.session import DEFAULT_CYCLES
@@ -115,20 +114,12 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
                                         is not None else {}).items()
                     if axis in axes and value in axes[axis]}
 
-    # Presets may carry a non-default base_config; --backend layers on
-    # top of it (an explicit backend *axis* still wins, as axis values
-    # override the base config per point).
-    base_config = spec.base_config if spec is not None else DEFAULT_CONFIG
-    if args.backend is not None:
-        get_backend(args.backend)        # raises with suggestions
-        base_config = base_config.with_(backend=args.backend)
-
     merged = SweepSpec.of(
         args.preset or "custom", axes,
         cycles=args.cycles,
         warmup=args.warmup if args.warmup is not None
         else (spec.warmup if spec is not None else None),
-        base_config=base_config,
+        base_config=spec.base_config if spec is not None else None,
         baseline=baseline,
         metric=args.metric or (spec.metric if spec is not None
                                else "ipc"),
@@ -170,11 +161,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes for uncached cells "
                              "(default: 1)")
-    parser.add_argument("--backend", default=None,
-                        help="simulation backend every cell runs on "
-                             "(see repro.backend; default: the base "
-                             "config's, i.e. reference).  Overridden "
-                             "per point by an explicit backend axis")
     parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
                         help=f"measured cycles per cell (default: "
                              f"{DEFAULT_CYCLES})")
@@ -370,6 +356,8 @@ def main(argv=None) -> None:
         detail = f": {exc}" if exc.args else ""
         print(f"run_sweep: interrupted{detail}", file=sys.stderr)
         raise SystemExit(130) from None
+    except StaleCampaignError as exc:
+        raise SystemExit(f"run_sweep: {exc}") from None
 
 
 if __name__ == "__main__":

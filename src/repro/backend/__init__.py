@@ -1,46 +1,16 @@
-"""Pluggable simulation backends behind golden parity.
+"""How a simulation cell executes.
 
-A backend is *how* a simulation cell executes — the reference fused
-cycle loop, a batch-amortised variant, eventually a compiled engine —
-never *what* it measures: every registered backend must reproduce the
-golden-parity fixture byte-for-byte (:mod:`repro.perf.parity` validates
-any of them against the same fixture).  Selection is a string that
-rides on :attr:`repro.core.config.SimConfig.backend`, so it flows
-through cache keys, sweep axes and the ``--backend`` CLI flags without
-any layer special-casing it.
-
-Adding a backend:
-
-1. subclass :class:`SimBackend` (see its docstring for the
-   construct/warm/advance/result contract, and override ``run_cells``
-   if the backend amortises anything across a batch);
-2. decorate it with :func:`register_backend` and import the module
-   here so registration happens on package import;
-3. run the parity suite against it::
-
-       PYTHONPATH=src python -m repro.perf.parity --backend <name> \\
-           --check tests/perf/golden_parity.json
-
-   CI runs the same check for every registered backend.
+:class:`ReferenceBackend` builds one
+:class:`~repro.core.simulator.Simulator` per cell and drives it through
+three phases — ``warm`` (train caches and predictors, then discard the
+statistics), ``advance`` (the measured window) and ``result`` (export
+the statistics).  Every cell runs through it, via
+:func:`repro.campaign.cells.execute_cell`, whether in a campaign
+worker, an isolated recovery child or the calling process, so where a
+cell runs cannot change its result.  The golden-parity fixture
+(:mod:`repro.perf.parity`) pins those results byte for byte.
 """
 
-from repro.backend.base import SimBackend
-from repro.backend.batched import BatchedBackend, BatchTables
 from repro.backend.reference import ReferenceBackend
-from repro.backend.registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 
-__all__ = [
-    "BatchTables",
-    "BatchedBackend",
-    "DEFAULT_BACKEND",
-    "ReferenceBackend",
-    "SimBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-]
+__all__ = ["ReferenceBackend"]

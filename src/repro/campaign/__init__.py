@@ -23,13 +23,13 @@ from repro.campaign.cells import (
     cell_from_descriptor,
     cell_key,
     descriptor_for,
-    execute_batch,
     execute_cell,
     key_for,
 )
 from repro.campaign.engine import Campaign, failures_of
 from repro.campaign.manifest import (
     CAMPAIGN_FORMAT_VERSION,
+    StaleCampaignError,
     campaign_id,
     queue_path,
     read_manifest,
@@ -46,13 +46,13 @@ __all__ = [
     "CellQueue",
     "DrainStats",
     "LeasedCell",
+    "StaleCampaignError",
     "campaign_id",
     "cell_descriptor",
     "cell_from_descriptor",
     "cell_key",
     "descriptor_for",
     "drain",
-    "execute_batch",
     "execute_cell",
     "failures_of",
     "key_for",

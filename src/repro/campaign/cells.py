@@ -3,7 +3,7 @@
 A *cell* is one fully-resolved simulation request — workload, engine,
 policy, run windows and a complete :class:`~repro.core.config.SimConfig`.
 Everything above this module (sessions, sweeps, queues, workers) moves
-cells around; everything below it (backends) executes them.  Three
+cells around; everything below it (the backend) executes them.  Three
 representations exist, all loss-free:
 
 * :class:`Cell` — the in-process dataclass;
@@ -14,8 +14,8 @@ representations exist, all loss-free:
   (:func:`cell_key`), the address of the cell's result in the
   content-addressed cache and in a campaign's queue.
 
-Execution helpers (:func:`execute_batch` / :func:`execute_cell`) are
-top-level and picklable so worker processes, isolated recovery children
+The execution helper (:func:`execute_cell`) is top-level and
+picklable so worker processes, isolated recovery children
 and the in-process path all run the exact same code — which is one of
 the two reasons results are byte-identical wherever a cell runs (the
 other being that each simulation is a pure function of (seed, config)).
@@ -25,16 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend import get_backend
+from repro.backend.reference import ReferenceBackend
 from repro.core.config import SimConfig, canonical_hash
 from repro.core.metrics import SimResult
+from repro.core.workloads import resolve_workload
 from repro.resilience.faults import fault_label, maybe_fire
 
 CACHE_FORMAT_VERSION = 2
 """Bumped whenever the simulator's observable behaviour changes
 incompatibly; old entries then miss instead of serving stale results.
-Version 2: backend-aware cells (``SimConfig.backend`` joins the
-descriptor) and schema-stamped payloads."""
+Version 2: schema-stamped payloads.  Version 2 also put a
+``SimConfig.backend`` field into the descriptor; dropping that field
+again changed every cell key by itself, so the version stayed at 2 —
+campaign ids hash it, and they are unchanged by the drop."""
 
 
 @dataclass(frozen=True)
@@ -112,29 +115,15 @@ def cell_from_descriptor(descriptor: dict) -> Cell:
                 SimConfig.from_dict(descriptor["config"]))
 
 
-def execute_batch(cells: list[Cell]) -> list[SimResult]:
-    """Run a batch of cells (picklable, top-level); results in order.
-
-    Cells are grouped by their config's backend and each group is
-    delivered to that backend's ``run_cells`` in one call, which is
-    where per-batch amortisation (shared tables) happens.  The
-    fault-injection hook fires per cell (no-op unless ``REPRO_FAULTS``
-    is set) — inside the worker, which is where real faults strike.
-    """
-    for cell in cells:
-        maybe_fire(fault_label(cell))
-    by_backend: dict[str, list[int]] = {}
-    for i, cell in enumerate(cells):
-        by_backend.setdefault(cell.config.backend, []).append(i)
-    results: list[SimResult | None] = [None] * len(cells)
-    for backend, indices in by_backend.items():
-        batch_results = get_backend(backend).run_cells(
-            [cells[i] for i in indices])
-        for i, result in zip(indices, batch_results):
-            results[i] = result
-    return results
-
-
 def execute_cell(cell: Cell) -> SimResult:
-    """Simulate one cell through its backend (picklable, top-level)."""
-    return execute_batch([cell])[0]
+    """Simulate one cell (picklable, top-level).
+
+    The fault-injection hook fires first (no-op unless
+    ``REPRO_FAULTS`` is set) — inside the worker, which is where real
+    faults strike.
+    """
+    maybe_fire(fault_label(cell))
+    benchmarks, name = resolve_workload(cell.workload)
+    machine = ReferenceBackend(benchmarks, cell.engine, cell.policy,
+                               cell.config, workload_name=name)
+    return machine.run(cell.cycles, warmup=cell.warmup)

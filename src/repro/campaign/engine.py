@@ -5,7 +5,7 @@ cells, compute the campaign id, write the manifest, enqueue the cache
 misses) and *execution* (drain the queue).  Everything above it —
 :class:`~repro.experiments.session.ExperimentSession`, the sweep
 runner, both CLIs — is a client; everything below it — the queue, the
-worker loop, the backends — neither knows nor cares who planned the
+worker loop, the backend — neither knows nor cares who planned the
 campaign.
 
 Execution modes, all draining the same queue with the same worker
@@ -134,6 +134,11 @@ class Campaign:
                 shareable queue file (worker processes).
             retry: Per-cell budget folded into the queue rows.
             need_file: Require a real queue file even without a root.
+
+        Raises:
+            StaleCampaignError: ``root`` already holds this campaign id
+                with a manifest of other cell keys (planned by an
+                incompatible version); nothing is enqueued.
         """
         retry = retry or RetryPolicy()
         cid = campaign_id(planned.values())

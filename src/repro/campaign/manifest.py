@@ -8,13 +8,11 @@ what makes ``--resume <id>`` meaningful ("continue *this* grid") and
 what lets every report carry a provenance stamp that survives re-runs
 byte-identically.
 
-The id deliberately hashes *backend-normalized* descriptors: the
-``SimConfig.backend`` field selects an execution strategy, and every
-backend is golden-parity-pinned to produce byte-identical results —
-so two runs of one grid on different backends are the *same
-measurement campaign* and stamp reports identically.  (Cache keys and
-queue rows keep the backend, because the artifact store addresses
-*how* a result was produced; the campaign names *what* was measured.)
+The id hashes the same content keys that address the cells in the
+result cache and the queue, so an existing campaign directory whose
+manifest lists other keys than the ones just planned was written by an
+incompatible version of the descriptor format (see
+:class:`StaleCampaignError`).
 
 On disk a campaign is a directory::
 
@@ -41,17 +39,15 @@ MANIFEST_NAME = "manifest.json"
 QUEUE_NAME = "queue.sqlite"
 
 
-def normalized_descriptor(descriptor: dict) -> dict:
-    """A cell descriptor with execution-strategy fields removed.
+class StaleCampaignError(RuntimeError):
+    """An existing campaign directory lists other cells than the plan.
 
-    Currently that is only ``config.backend`` — the one knob that is
-    proven (by the golden-parity fixture) not to change results.
+    Campaign ids survive changes to the cell descriptor format that
+    change every content key (a ``SimConfig`` field leaving, say), so a
+    directory planned by an older version can carry the id of today's
+    plan while its queue rows describe cells this version cannot
+    rebuild.  Reusing it would mix the two; the planner refuses.
     """
-    out = dict(descriptor)
-    config = dict(out.get("config", {}))
-    config.pop("backend", None)
-    out["config"] = config
-    return out
 
 
 def campaign_id(descriptors) -> str:
@@ -62,8 +58,7 @@ def campaign_id(descriptors) -> str:
     type after ``--resume``, long enough that collisions within one
     campaign root are not a practical concern.
     """
-    keys = sorted({canonical_hash(normalized_descriptor(d))
-                   for d in descriptors})
+    keys = sorted({canonical_hash(d) for d in descriptors})
     return canonical_hash({"version": CAMPAIGN_FORMAT_VERSION,
                            "cells": keys})[:16]
 
@@ -84,14 +79,22 @@ def write_manifest(root: str | Path, cid: str,
 
     ``descriptors`` maps content key -> cell descriptor for every
     distinct cell of the campaign.  An existing manifest is left
-    untouched — the id is content-derived, so it can only describe the
-    same set (a resumed run must not churn the file's mtime or byte
-    layout).
+    untouched (a resumed run must not churn the file's mtime or byte
+    layout), but it must list exactly these keys: one written under
+    another descriptor format raises :class:`StaleCampaignError`.
     """
     directory = campaign_dir(root, cid)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_NAME
     if path.exists():
+        with open(path, encoding="utf-8") as fh:
+            listed = {entry["key"] for entry in json.load(fh)["cells"]}
+        if listed != set(descriptors):
+            raise StaleCampaignError(
+                f"campaign directory {directory} was planned by an "
+                f"incompatible version of repro: its manifest lists "
+                f"other cell keys than this plan's.  Use a fresh "
+                f"--campaign-dir.")
         return path
     doc = {
         "campaign": cid,

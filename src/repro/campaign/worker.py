@@ -24,14 +24,14 @@ in-flight attempt charged.
 
 With a ``cell_timeout``, every attempt runs in an isolated child
 process (:func:`repro.resilience.isolate.run_cell_isolated`) so hangs
-are killable; without one, cells run in the worker itself and each
-backend group is fed through ``run_cells_iter`` so per-batch
-amortisation (shared warm tables) is preserved.  *Suspect* cells — a
-previous attempt killed its worker (``LeasedCell.suspect``) — are
-always run isolated, whatever the mode: after the first fleet kill, a
-poison cell's further crashes are contained to disposable children
-(surfacing as :class:`~repro.resilience.isolate.CellCrash`, nacked
-with crash attribution) while the worker and its batch-mates live on.
+are killable; without one, cells run in the worker itself, one
+:func:`~repro.campaign.cells.execute_cell` call each.  *Suspect*
+cells — a previous attempt killed its worker (``LeasedCell.suspect``)
+— are always run isolated, whatever the mode: after the first fleet
+kill, a poison cell's further crashes are contained to disposable
+children (surfacing as :class:`~repro.resilience.isolate.CellCrash`,
+nacked with crash attribution) while the worker and its batch-mates
+live on.
 
 Fleet health: a drain loop stamps its heartbeat (when given a
 :class:`~repro.campaign.health.HeartbeatStore`) every lease round and
@@ -71,15 +71,13 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.backend import get_backend
-from repro.campaign.cells import Cell, cell_from_descriptor
+from repro.campaign.cells import Cell, cell_from_descriptor, execute_cell
 from repro.campaign.health import DEFAULT_HEARTBEAT_STALE_SECONDS, \
     NULL_CONTROL, DrainControl, HeartbeatStore
 from repro.campaign.queue import CellQueue, LeasedCell
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.logging_setup import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.resilience.faults import fault_label, maybe_fire
 from repro.resilience.isolate import CellCrash, CellTimeout, \
     run_cell_isolated
 
@@ -283,63 +281,37 @@ def _run_lease(queue: CellQueue, batch: list[LeasedCell],
                      heartbeats=heartbeats)
             handled.add(lc.key)
 
-    if isolate or cell_timeout is not None:
-        for lc, cell in zip(batch, cells):
-            if control.requested:
-                return
+    for pos, (lc, cell) in enumerate(zip(batch, cells)):
+        if control.requested:
+            return
+        if isolate or cell_timeout is not None or lc.suspect:
             run_isolated(lc, cell)
-        return
-
-    # Suspect cells (a previous attempt killed a worker) run isolated
-    # even in the fast path: containment over batch amortisation.
-    normal: list[int] = []
-    for i, lc in enumerate(batch):
-        if control.requested:
+            continue
+        t0 = time.perf_counter()
+        try:
+            result = execute_cell(cell)
+        except Exception as exc:
+            # Only the cell that blew up pays an attempt.  Its unstarted
+            # batch-mates go back to the queue with the attempt
+            # refunded rather than run on here: the exception may say
+            # more about this process (memory, a broken import) than
+            # about the cell, and a returned cell can be leased by any
+            # worker, this one included, on the next round.
+            log.warning("cell %s attempt %d failed: %r",
+                        lc.label, lc.attempts, exc)
+            queue.nack(lc.key, worker_id, repr(exc))
+            handled.add(lc.key)
+            stats.failed += 1
+            REGISTRY.counter("repro_cells_failed_total").inc()
+            for rest in batch[pos + 1:]:
+                queue.unlease(rest.key, worker_id)
+                handled.add(rest.key)
             return
-        if lc.suspect:
-            run_isolated(lc, cells[i])
-        else:
-            normal.append(i)
-
-    by_backend: dict[str, list[int]] = {}
-    for i in normal:
-        by_backend.setdefault(cells[i].config.backend, []).append(i)
-    for backend, indices in by_backend.items():
-        if control.requested:
-            return
-        group = [cells[i] for i in indices]
-        it = get_backend(backend).run_cells_iter(group)
-        for pos, i in enumerate(indices):
-            if control.requested:
-                return
-            t0 = time.perf_counter()
-            try:
-                # Fault-injection hook (no-op unless REPRO_FAULTS is
-                # set): fires in the worker, where real faults strike.
-                maybe_fire(fault_label(cells[i]))
-                result = next(it)
-            except Exception as exc:
-                # Only the cell that blew up pays an attempt; its
-                # batch-mates never ran, so their leases are refunded
-                # (the iterator's shared state is unusable after an
-                # exception, and re-running them here would double-
-                # charge fault budgets).
-                log.warning("cell %s attempt %d failed: %r",
-                            batch[i].label, batch[i].attempts, exc)
-                queue.nack(batch[i].key, worker_id, repr(exc))
-                handled.add(batch[i].key)
-                stats.failed += 1
-                REGISTRY.counter("repro_cells_failed_total").inc()
-                for j in indices[pos + 1:]:
-                    queue.unlease(batch[j].key, worker_id)
-                    handled.add(batch[j].key)
-                break
-            _deliver(queue, batch[i], cells[i], result,
-                     worker_id=worker_id, cache=cache, stats=stats,
-                     journal=journal,
-                     execute_seconds=time.perf_counter() - t0,
-                     heartbeats=heartbeats)
-            handled.add(batch[i].key)
+        _deliver(queue, lc, cell, result, worker_id=worker_id,
+                 cache=cache, stats=stats, journal=journal,
+                 execute_seconds=time.perf_counter() - t0,
+                 heartbeats=heartbeats)
+        handled.add(lc.key)
 
 
 def _deliver(queue: CellQueue, leased: LeasedCell, cell: Cell, result,

@@ -14,12 +14,11 @@ figures plot.
 
 from repro.core.config import SimConfig
 from repro.core.metrics import SimResult
-from repro.core.simulator import MachineTables, Simulator, simulate
+from repro.core.simulator import Simulator, simulate
 from repro.core.workloads import WORKLOADS, resolve_workload, \
     workload_benchmarks
 
 __all__ = [
-    "MachineTables",
     "SimConfig",
     "SimResult",
     "Simulator",

@@ -14,16 +14,15 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 """Version of the fingerprint/result schema, hashed into every
 :meth:`SimConfig.fingerprint`.
 
 Bump it when the meaning of a cached result changes without any config
 field changing — a new ``SimResult`` field, a semantic fix in a
-simulated component, or a change to what a backend computes — so
-entries written under the old semantics miss instead of deserialising
-stale dicts.  Version 2: backend-aware configs (the ``backend`` field
-and the pluggable :mod:`repro.backend` layer)."""
+simulated component — so entries written under the old semantics miss
+instead of deserialising stale dicts.  Version 2 added a ``backend``
+field; version 3 removed it again (one execution path remains)."""
 
 
 def canonical_hash(data) -> str:
@@ -103,7 +102,6 @@ class SimConfig:
     seed: int = 0
     warmup_cycles: int = 8000
     watchdog_cycles: int = 50_000
-    backend: str = "reference"      # simulation engine (repro.backend)
 
     def with_(self, **overrides) -> "SimConfig":
         """Return a copy with the given fields replaced."""

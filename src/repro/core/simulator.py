@@ -20,43 +20,15 @@ from repro.program.generator import program_for
 from repro.trace.context import ThreadContext
 
 
-class MachineTables:
-    """Source of the expensive construction-time artefacts of a machine.
+def warm_regions(program) -> list[tuple[int, int]]:
+    """Deduplicated ``(base, footprint)`` data regions, small first.
 
-    A :class:`Simulator` does two costly things before its first cycle:
-    generate each benchmark's synthetic program (structure + calibrated
-    branch behaviours + presalted mix64 address generators) and derive
-    the data-side warm-up regions from the program's address-generator
-    footprints.  Both are pure functions of ``(benchmark, seed)``, so a
-    batch of independent simulations can share them.  This base class
-    computes everything on demand (per-machine behaviour, unchanged
-    from before the seam existed); the batched backend substitutes a
-    memoising subclass built once per batch.
-
-    Sharing is safe for byte-identical results because programs are
-    immutable during simulation (all per-run state lives in
-    ``ThreadContext`` and the machine components) — the in-process
-    ``lru_cache`` on :func:`~repro.program.generator.program_for`
-    already relies on this.
+    The ordering (and therefore which regions survive the TLB page
+    budget in ``warm_data_side``) is part of the golden-parity
+    contract; do not change it without regenerating the fixture.
     """
-
-    def program(self, name: str, seed: int):
-        """The synthetic program for one ``(benchmark, seed)`` pair."""
-        return program_for(name, seed)
-
-    def warm_regions(self, program) -> list[tuple[int, int]]:
-        """Deduplicated ``(base, footprint)`` data regions, small first.
-
-        The ordering (and therefore which regions survive the TLB page
-        budget in ``warm_data_side``) is part of the golden-parity
-        contract; do not change it without regenerating the fixture.
-        """
-        return sorted({(g.base, g.footprint()) for g in program.memgens},
-                      key=lambda r: r[1])
-
-
-DEFAULT_TABLES = MachineTables()
-"""Shared stateless instance used when no batch tables are supplied."""
+    return sorted({(g.base, g.footprint()) for g in program.memgens},
+                  key=lambda r: r[1])
 
 
 class Simulator:
@@ -66,16 +38,14 @@ class Simulator:
                  engine: str | EngineKind = EngineKind.GSHARE_BTB,
                  policy: str = "ICOUNT.1.8",
                  config: SimConfig | None = None,
-                 workload_name: str | None = None,
-                 tables: MachineTables | None = None) -> None:
+                 workload_name: str | None = None) -> None:
         if not benchmarks:
             raise ValueError("a workload needs at least one benchmark")
         self.config = config or DEFAULT_CONFIG
         self.workload_name = workload_name or "+".join(benchmarks)
         cfg = self.config
-        tables = tables if tables is not None else DEFAULT_TABLES
 
-        self.contexts = [ThreadContext(tables.program(name, cfg.seed), tid)
+        self.contexts = [ThreadContext(program_for(name, cfg.seed), tid)
                          for tid, name in enumerate(benchmarks)]
         self.memory = MemoryHierarchy(
             l1i_kb=cfg.l1i_kb, l1i_assoc=cfg.l1i_assoc,
@@ -91,9 +61,8 @@ class Simulator:
             self.memory.warm_instruction_side(
                 ctx.tid, program.entry_addr,
                 program.entry_addr + program.code_bytes)
-            regions = tables.warm_regions(program)
             self.memory.warm_data_side(
-                ctx.tid, regions,
+                ctx.tid, warm_regions(program),
                 tlb_budget_pages=max(cfg.dtlb_entries
                                      // max(len(self.contexts), 1), 8))
 
@@ -116,13 +85,24 @@ class Simulator:
         self.core = SmtCore(self.fetch_unit, self.memory, self.contexts,
                             params)
 
-    def run(self, cycles: int, warmup: int | None = None) -> SimResult:
-        """Warm up, reset statistics, then measure ``cycles`` cycles."""
-        warmup = self.config.warmup_cycles if warmup is None else warmup
-        if warmup:
-            self.core.run(warmup)
+    def warm(self, cycles: int) -> None:
+        """Advance ``cycles`` cycles, then discard all statistics."""
+        if cycles:
+            self.core.run(cycles)
             self._reset_stats()
+
+    def advance(self, cycles: int) -> None:
+        """Advance ``cycles`` measured cycles."""
         self.core.run(cycles)
+
+    def run(self, cycles: int, warmup: int | None = None) -> SimResult:
+        """Warm up, reset statistics, then measure ``cycles`` cycles.
+
+        ``warmup=None`` defers to ``config.warmup_cycles``.
+        """
+        warmup = self.config.warmup_cycles if warmup is None else warmup
+        self.warm(warmup)
+        self.advance(cycles)
         return self.result()
 
     def _reset_stats(self) -> None:
@@ -171,8 +151,7 @@ def simulate(workload: str | tuple[str, ...] | list[str],
              engine: str | EngineKind = EngineKind.GSHARE_BTB,
              policy: str = "ICOUNT.1.8", cycles: int = 20_000,
              config: SimConfig | None = None,
-             warmup: int | None = None,
-             backend: str | None = None) -> SimResult:
+             warmup: int | None = None) -> SimResult:
     """Run one simulation and return its measured result.
 
     Args:
@@ -185,18 +164,8 @@ def simulate(workload: str | tuple[str, ...] | list[str],
         config: Machine configuration (Table 3 defaults if omitted).
         warmup: Warm-up cycles before measurement (config default if
             omitted).
-        backend: Registered simulation backend to run on; overrides
-            ``config.backend`` when given.  Every backend must produce
-            byte-identical results (see :mod:`repro.backend`), so this
-            only selects *how* the cell is executed.
     """
-    # Deferred import: repro.backend builds on this module.
-    from repro.backend import get_backend
-
     benchmarks, name = resolve_workload(workload)
-    config = config or DEFAULT_CONFIG
-    if backend is not None and backend != config.backend:
-        config = config.with_(backend=backend)
-    machine = get_backend(config.backend)(
-        benchmarks, engine, policy, config, workload_name=name)
+    machine = Simulator(benchmarks, engine, policy, config,
+                        workload_name=name)
     return machine.run(cycles, warmup=warmup)

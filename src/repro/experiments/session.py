@@ -30,8 +30,7 @@ exploits that structure, as a *client* of the campaign layer
   returned as partial results otherwise.
 
 Results are bit-identical however the campaign runs: each cell's
-simulation is deterministic given (seed, config), every backend is
-golden-parity-validated against the reference loop, workers share
+simulation is deterministic given (seed, config), workers share
 nothing but files, and a retried or resumed cell therefore reproduces
 exactly the result its interrupted attempt would have produced.
 """
@@ -40,14 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend import get_backend
-from repro.campaign.cells import (
-    Cell,
-    descriptor_for,
-    execute_batch,
-    execute_cell,
-    key_for,
-)
+from repro.campaign.cells import Cell, descriptor_for, key_for
 from repro.campaign.engine import Campaign
 from repro.campaign.manifest import campaign_id
 from repro.core.config import DEFAULT_CONFIG, SimConfig
@@ -63,19 +55,14 @@ from repro.resilience.policy import (
     RetryPolicy,
 )
 
-# Back-compat aliases: these lived here before the campaign layer
-# existed, and the perf/determinism suites (plus any external callers)
-# import them from this module.
-_execute_batch = execute_batch
-_execute_cell = execute_cell
-
 DEFAULT_CYCLES = 20_000
 """Measured window for figure regeneration (per grid cell)."""
 
 MAX_LEASE_BATCH = 8
-"""Upper bound on cells per worker lease: large enough for the batched
-backend to amortise shared tables, small enough that a dying worker
-forfeits little work and queue progress stays observable."""
+"""Upper bound on cells per worker lease: large enough that a worker
+makes few queue round-trips (one lease per batch instead of per
+cell), small enough that a dying worker forfeits little work and
+queue progress stays observable."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +70,8 @@ class CampaignInfo:
     """Provenance stamp of one planned campaign.
 
     Deliberately tiny and fully content-derived — no timestamps, no
-    hostnames, no backend names — so any report that embeds it stays
-    byte-identical across cold/warm caches, worker counts and
-    (parity-pinned) backends.
+    hostnames — so any report that embeds it stays byte-identical
+    across cold/warm caches and worker counts.
     """
 
     campaign_id: str
@@ -136,10 +122,6 @@ class ExperimentSession:
             on :meth:`close` (or context-manager exit) the persistent
             cache is pruned to at most this many entries, oldest-first.
             ``None`` (the default) keeps the cache unbounded.
-        backend: Registered backend name to run cells on; applied to
-            the session's default config (cells built with an explicit
-            ``config`` override keep that config's backend).  Validated
-            eagerly so typos fail before any simulation runs.
         retries: Re-execution budget per failed cell (crash, exception
             or timeout), folded into each queue row's lease state;
             retried cells are deterministic given (seed, config), so
@@ -171,7 +153,6 @@ class ExperimentSession:
                  cycles: int = DEFAULT_CYCLES,
                  warmup: int | None = None,
                  cache_budget_entries: int | None = None,
-                 backend: str | None = None,
                  retries: int = 0,
                  retry_backoff: float = 0.0,
                  cell_timeout: float | None = None,
@@ -184,9 +165,6 @@ class ExperimentSession:
                              f"{cache_budget_entries}")
         self.jobs = jobs
         self.config = config or DEFAULT_CONFIG
-        if backend is not None:
-            get_backend(backend)       # raises with suggestions
-            self.config = self.config.with_(backend=backend)
         self.cycles = cycles
         self.warmup = warmup
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None

@@ -27,7 +27,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from repro.backend import DEFAULT_BACKEND, get_backend
+from repro.backend import ReferenceBackend
 from repro.core.config import SimConfig
 from repro.core.workloads import WORKLOADS
 
@@ -98,24 +98,21 @@ def geomean(values) -> float:
 def measure_cell(cell: BenchCell, cycles: int = DEFAULT_CYCLES,
                  warmup: int = DEFAULT_WARMUP,
                  repeats: int = DEFAULT_REPEATS,
-                 config: SimConfig | None = None,
-                 backend: str = DEFAULT_BACKEND) -> dict:
+                 config: SimConfig | None = None) -> dict:
     """Time one cell; returns a JSON-safe measurement record.
 
-    The timed region is exactly one backend ``advance`` call —
-    construction, warm-up and result export stay outside the clock for
-    every backend, so per-backend numbers are comparable.
+    The timed region is exactly one ``advance`` call — construction,
+    warm-up and result export stay outside the clock.
     """
     if cell.workload not in WORKLOADS:
         raise KeyError(f"unknown workload {cell.workload!r}")
-    backend_cls = get_backend(backend)
     elapsed: list[float] = []
     committed = 0
     for _ in range(repeats):
-        machine = backend_cls(WORKLOADS[cell.workload],
-                              engine=cell.engine, policy=cell.policy,
-                              config=config,
-                              workload_name=cell.workload)
+        machine = ReferenceBackend(WORKLOADS[cell.workload],
+                                   engine=cell.engine,
+                                   policy=cell.policy, config=config,
+                                   workload_name=cell.workload)
         machine.warm(warmup)
         t0 = time.perf_counter()
         machine.advance(cycles)
@@ -126,7 +123,6 @@ def measure_cell(cell: BenchCell, cycles: int = DEFAULT_CYCLES,
         "workload": cell.workload,
         "engine": cell.engine,
         "policy": cell.policy,
-        "backend": backend,
         "seconds_median": seconds,
         "kcycles_per_sec": cycles / seconds / 1e3,
         "kinstr_per_sec": committed / seconds / 1e3,
@@ -138,7 +134,7 @@ def run_bench(grid=BENCH_GRID, cycles: int = DEFAULT_CYCLES,
               warmup: int = DEFAULT_WARMUP,
               repeats: int = DEFAULT_REPEATS,
               config: SimConfig | None = None,
-              progress=None, backend: str = DEFAULT_BACKEND) -> dict:
+              progress=None) -> dict:
     """Measure every cell of ``grid``; returns the full report mapping.
 
     ``progress`` is an optional callable receiving each cell's record
@@ -147,8 +143,7 @@ def run_bench(grid=BENCH_GRID, cycles: int = DEFAULT_CYCLES,
     cells = []
     for cell in grid:
         record = measure_cell(cell, cycles=cycles, warmup=warmup,
-                              repeats=repeats, config=config,
-                              backend=backend)
+                              repeats=repeats, config=config)
         cells.append(record)
         if progress is not None:
             progress(record)
@@ -157,7 +152,6 @@ def run_bench(grid=BENCH_GRID, cycles: int = DEFAULT_CYCLES,
             "cycles": cycles,
             "warmup": warmup,
             "repeats": repeats,
-            "backend": backend,
             "grid": [c.label for c in grid],
             "host": host_metadata(),
         },

@@ -8,15 +8,12 @@ behaviour-preserving.  This module pins that contract: a fixed grid of
 not just IPC — is rendered to canonical JSON and compared byte-for-byte
 against a committed fixture (``tests/perf/golden_parity.json``).
 
-The fixture is *backend-independent*: every backend registered in
-:mod:`repro.backend` must reproduce the same bytes, which is exactly
-the interchangeability contract of the backend layer.  Validate any
-backend against the committed fixture with::
+Check the simulator against the committed fixture with::
 
-    PYTHONPATH=src python -m repro.perf.parity --backend batched \
+    PYTHONPATH=src python -m repro.perf.parity \
         --check tests/perf/golden_parity.json
 
-(CI runs this as a matrix over every registered backend.)
+(CI's ``golden-parity`` job runs exactly this.)
 
 Any change that alters a simulated outcome fails the parity test and
 must regenerate the fixture **in the same commit**, bumping
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import json
 
-from repro.backend import DEFAULT_BACKEND, available_backends
 from repro.core.config import SimConfig
 from repro.core.simulator import simulate
 
@@ -59,17 +55,11 @@ def parity_label(workload: str, engine: str, policy: str,
 
 
 def collect_parity(cells=PARITY_CELLS, cycles: int = PARITY_CYCLES,
-                   warmup: int = PARITY_WARMUP,
-                   backend: str = DEFAULT_BACKEND) -> dict[str, dict]:
-    """Simulate every pinned cell; returns {label: SimResult.to_dict()}.
-
-    ``backend`` selects the execution engine; the output must not
-    depend on it (``SimResult`` carries no backend identity), so the
-    same fixture validates every backend.
-    """
+                   warmup: int = PARITY_WARMUP) -> dict[str, dict]:
+    """Simulate every pinned cell; returns {label: SimResult.to_dict()}."""
     results: dict[str, dict] = {}
     for workload, engine, policy, seed in cells:
-        config = SimConfig(seed=seed, backend=backend)
+        config = SimConfig(seed=seed)
         result = simulate(workload, engine=engine, policy=policy,
                           cycles=cycles, config=config, warmup=warmup)
         results[parity_label(workload, engine, policy, seed)] = \
@@ -83,34 +73,30 @@ def canonical_json(results: dict[str, dict]) -> str:
 
 
 def main(argv=None) -> None:
-    """CLI: emit the fixture, or check a backend against one."""
+    """CLI: emit the fixture, or check the simulator against one."""
     import argparse
     import sys
     from pathlib import Path
 
     parser = argparse.ArgumentParser(
         description="Golden-parity fixture generator/checker.")
-    parser.add_argument("--backend", choices=available_backends(),
-                        default=DEFAULT_BACKEND,
-                        help="backend to simulate the pinned grid on "
-                             f"(default: {DEFAULT_BACKEND})")
     parser.add_argument("--check", metavar="FIXTURE", default=None,
                         help="compare against this fixture file and "
                              "exit non-zero on any byte difference, "
                              "instead of printing to stdout")
     args = parser.parse_args(argv)
 
-    got = canonical_json(collect_parity(backend=args.backend))
+    got = canonical_json(collect_parity())
     if args.check is None:
         sys.stdout.write(got)
         return
     want = Path(args.check).read_text(encoding="utf-8")
     if got != want:
         raise SystemExit(
-            f"parity FAILED: backend {args.backend!r} diverges from "
+            f"parity FAILED: simulated results diverge from "
             f"{args.check} (regenerate the fixture only if the "
-            f"reference behaviour change is intentional)")
-    print(f"parity ok: backend {args.backend!r} matches {args.check} "
+            f"behaviour change is intentional)")
+    print(f"parity ok: simulated results match {args.check} "
           f"byte-for-byte", file=sys.stderr)
 
 

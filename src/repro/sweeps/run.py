@@ -70,9 +70,8 @@ class SweepResult:
     provenance: dict | None = None
     """Campaign provenance stamp (``{"campaign": id, "cells": n}``),
     carried into every report format.  Content-derived — the id hashes
-    the planned cell set, backend-normalized — so reports stay
-    byte-identical across cold/warm caches, worker counts and
-    parity-pinned backends."""
+    the planned cell set — so reports stay byte-identical across
+    cold/warm caches and worker counts."""
 
     def baseline_point(self) -> PointResult:
         """The speedup denominator's :class:`PointResult`."""

@@ -6,7 +6,9 @@ A :class:`SweepSpec` names the axes of a design-space exploration —
 their cross product into fully-resolved grid points.  Points that
 differ only in ``seed`` are *replicates* of the same design point and
 are aggregated statistically (see :mod:`repro.sweeps.stats`); every
-other axis spans the design space proper.
+other axis spans the design space proper.  ``workload``, ``engine``
+and ``policy`` take strings; ``seed`` and every config field are
+integer machine sizes or run-control knobs.
 
 Specs are frozen: deriving a variant (``with_seeds``, ``with_axis``)
 returns a new spec, so the shipped presets can never be mutated by one
@@ -18,7 +20,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field, fields, replace
 
-from repro.backend import get_backend
 from repro.core.config import DEFAULT_CONFIG, SimConfig
 from repro.core.workloads import workload_benchmarks
 from repro.frontend.policy import PolicySpec
@@ -27,13 +28,11 @@ RESERVED_AXES = ("workload", "engine", "policy", "seed")
 """Axes interpreted by the runner itself rather than as config fields."""
 
 CONFIG_AXES = tuple(f.name for f in fields(SimConfig) if f.name != "seed")
-"""Every SimConfig field usable as a sweep axis (``seed`` is reserved).
-This includes ``backend``: sweeping it compares execution engines that
-must agree byte-for-byte, which is a parity harness in sweep form."""
+"""Every SimConfig field usable as a sweep axis (``seed`` is reserved)."""
 
 KNOWN_AXES = RESERVED_AXES + CONFIG_AXES
 
-STRING_AXES = ("workload", "engine", "policy", "backend")
+STRING_AXES = ("workload", "engine", "policy")
 """Axes whose values are strings (every other axis coerces to int)."""
 
 METRICS = ("ipc", "ipfc")
@@ -54,7 +53,7 @@ def validate_axis(name: str) -> str:
 def coerce_axis_value(axis: str, text: str):
     """Parse one ``--axis`` CLI token into the axis's value type.
 
-    ``workload``/``engine``/``policy``/``backend`` values are strings;
+    ``workload``/``engine``/``policy`` values are strings;
     ``seed`` and every other ``SimConfig`` field are integers.
     """
     if axis in STRING_AXES:
@@ -134,9 +133,6 @@ class SweepSpec:
             elif axis == "policy":
                 for v in values:
                     PolicySpec.parse(v)
-            elif axis == "backend":
-                for v in values:
-                    get_backend(v)       # raises with suggestions
         if self.metric not in METRICS:
             raise ValueError(
                 f"unknown metric {self.metric!r}; choose from "

@@ -1,81 +1,19 @@
-"""The backend seam: registry, protocol conformance, batch parity.
+"""The execution engine's phase contract.
 
-Byte-for-byte parity of every backend against the golden fixture lives
-in ``tests/perf/test_golden_parity.py``; these tests cover the layer
-itself — registration rules, construction/run contract, batched-table
-sharing, and the plumbing through ``simulate`` and the experiment
-session.
+Byte-for-byte parity of simulated results against the golden fixture
+lives in ``tests/perf/test_golden_parity.py``; these tests pin that
+running a cell in one call equals running its phases one by one.
 """
 
 import json
 
-import pytest
-
-from repro.backend import (
-    BatchTables,
-    BatchedBackend,
-    DEFAULT_BACKEND,
-    ReferenceBackend,
-    SimBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.core.config import DEFAULT_CONFIG, SimConfig
-from repro.core.simulator import simulate
+from repro.backend import ReferenceBackend
+from repro.core.config import SimConfig
 from repro.core.workloads import WORKLOADS
-from repro.experiments.session import Cell, ExperimentSession
-
-FAST = dict(cycles=400, warmup=200)
 
 
 def render(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "reference" in names
-        assert "batched" in names
-        assert names == tuple(sorted(names))
-        assert DEFAULT_BACKEND == "reference"
-        assert SimConfig().backend == DEFAULT_BACKEND
-
-    def test_get_backend_returns_classes(self):
-        assert get_backend("reference") is ReferenceBackend
-        assert get_backend("batched") is BatchedBackend
-
-    def test_unknown_backend_suggests_close_match(self):
-        with pytest.raises(ValueError, match="reference"):
-            get_backend("refrence")
-        with pytest.raises(ValueError, match="registered"):
-            get_backend("no_such_engine")
-
-    def test_reregistering_same_class_is_noop(self):
-        assert register_backend(ReferenceBackend) is ReferenceBackend
-        assert available_backends().count("reference") == 1
-
-    def test_name_collision_with_different_class_rejected(self):
-        class Impostor(ReferenceBackend):
-            name = "reference"
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(Impostor)
-
-    def test_nameless_class_rejected(self):
-        class Nameless(ReferenceBackend):
-            name = ""
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Nameless)
-
-    def test_non_backend_class_rejected(self):
-        class NotABackend:
-            name = "not-a-backend"
-
-        with pytest.raises(TypeError, match="SimBackend"):
-            register_backend(NotABackend)
 
 
 class TestProtocol:
@@ -95,109 +33,3 @@ class TestProtocol:
         b = ReferenceBackend(WORKLOADS["2_MIX"], config=config,
                              workload_name="2_MIX")
         assert render(a.run(400)) == render(b.run(400, warmup=200))
-
-    def test_simulate_backend_kwarg_overrides_config(self):
-        ref = simulate("2_MIX", **FAST)
-        via_kwarg = simulate("2_MIX", backend="batched", **FAST)
-        via_config = simulate("2_MIX",
-                              config=SimConfig(backend="batched"), **FAST)
-        assert render(ref) == render(via_kwarg) == render(via_config)
-
-    def test_simulate_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            simulate("2_MIX", backend="turbo", **FAST)
-
-    def test_backend_is_abstract(self):
-        with pytest.raises(TypeError):
-            SimBackend(WORKLOADS["2_MIX"])
-
-
-class TestBatchedBackend:
-    GRID = [("2_MIX", "stream", "ICOUNT.2.8", 0),
-            ("2_MIX", "gshare+BTB", "ICOUNT.1.8", 0),
-            ("4_MIX", "gskew+FTB", "ICOUNT.2.8", 1),
-            ("2_ILP", "stream", "ICOUNT.1.8", 2)]
-
-    def cells(self):
-        return [Cell(workload=w, engine=e, policy=p, cycles=400,
-                     warmup=200, config=SimConfig(seed=s))
-                for w, e, p, s in self.GRID]
-
-    def test_run_cells_matches_per_cell_reference(self):
-        batched = BatchedBackend.run_cells(self.cells())
-        reference = ReferenceBackend.run_cells(self.cells())
-        assert [render(r) for r in batched] == \
-            [render(r) for r in reference]
-
-    def test_batch_tables_share_programs_and_regions(self):
-        tables = BatchTables()
-        a = BatchedBackend(WORKLOADS["2_MIX"], workload_name="2_MIX",
-                           tables=tables)
-        b = BatchedBackend(WORKLOADS["2_MIX"], workload_name="2_MIX",
-                           policy="ICOUNT.2.8", tables=tables)
-        for ctx_a, ctx_b in zip(a.simulator.contexts,
-                                b.simulator.contexts):
-            assert ctx_a.program is ctx_b.program
-        program = a.simulator.contexts[0].program
-        assert tables.warm_regions(program) is \
-            tables.warm_regions(program)
-
-    def test_batch_tables_distinguish_seeds(self):
-        tables = BatchTables()
-        assert tables.program("gzip", 0) is not tables.program("gzip", 1)
-
-    def test_empty_batch(self):
-        assert BatchedBackend.run_cells([]) == []
-
-
-class TestSessionBackendPlumbing:
-    def test_session_backend_applies_to_default_config(self):
-        session = ExperimentSession(backend="batched", **FAST)
-        assert session.config.backend == "batched"
-        cell = session.make_cell("2_MIX", "stream", "ICOUNT.2.8")
-        assert cell.config.backend == "batched"
-
-    def test_session_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExperimentSession(backend="turbo")
-
-    def test_backend_participates_in_cell_keys(self):
-        ref = ExperimentSession(**FAST)
-        bat = ExperimentSession(backend="batched", **FAST)
-        cell_ref = ref.make_cell("2_MIX", "stream", "ICOUNT.2.8")
-        cell_bat = bat.make_cell("2_MIX", "stream", "ICOUNT.2.8")
-        assert ref.key_for(cell_ref) != bat.key_for(cell_bat)
-
-    def test_batched_session_matches_reference_results(self):
-        ref = ExperimentSession(**FAST)
-        bat = ExperimentSession(backend="batched", **FAST)
-        grid = [("2_MIX", "stream", "ICOUNT.2.8"),
-                ("2_MIX", "gshare+BTB", "ICOUNT.1.8"),
-                ("4_MIX", "stream", "ICOUNT.2.8")]
-        for workload, engine, policy in grid:
-            a = ref.measure(workload, engine, policy)
-            b = bat.measure(workload, engine, policy)
-            assert render(a) == render(b)
-        assert ref.simulated == bat.simulated == len(grid)
-
-    def test_parallel_batched_jobs_match_serial_reference(self, tmp_path):
-        serial = ExperimentSession(**FAST)
-        parallel = ExperimentSession(jobs=2, backend="batched",
-                                     cache_dir=tmp_path, **FAST)
-        grid = [("2_MIX", "stream", "ICOUNT.2.8", s) for s in range(3)] \
-            + [("2_MIX", "gshare+BTB", "ICOUNT.1.8", 0)]
-        serial_cells = [serial.make_cell(w, e, p, config=SimConfig(seed=s))
-                        for w, e, p, s in grid]
-        parallel_cells = [parallel.make_cell(
-            w, e, p, config=SimConfig(seed=s, backend="batched"))
-            for w, e, p, s in grid]
-        a = serial.run_cells(serial_cells)
-        b = parallel.run_cells(parallel_cells)
-        assert [render(r) for r in a.values()] == \
-            [render(r) for r in b.values()]
-
-    def test_explicit_cell_config_keeps_its_own_backend(self):
-        session = ExperimentSession(backend="batched", **FAST)
-        cell = session.make_cell("2_MIX", "stream", "ICOUNT.2.8",
-                                 config=DEFAULT_CONFIG)
-        assert cell.config.backend == "reference"

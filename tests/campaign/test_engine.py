@@ -1,8 +1,8 @@
 """Campaign identity and multi-worker execution parity.
 
 The acceptance invariants of the campaign layer: the id is a pure
-function of the planned cell set (not of cache state, worker count or
-parity-pinned backend), and N workers draining one queue produce
+function of the planned cell set (not of cache state or worker count),
+and N workers draining one queue produce
 bit-identical results to the single-process path.
 """
 
@@ -18,6 +18,8 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
 from repro.experiments import ExperimentSession
 from repro.resilience.faults import fault_label
+from repro.sweeps.presets import PRESETS
+from repro.sweeps.run import expand_cells
 
 FAST = dict(cycles=300, warmup=150)
 
@@ -42,14 +44,21 @@ class TestCampaignIdentity:
             == campaign_id(list(reversed(descriptors))) \
             == campaign_id(descriptors + descriptors[:2])
 
-    def test_id_ignores_the_backend(self):
-        # Backends are golden-parity-pinned: the same grid on a
-        # different backend is the same measurement campaign (and the
-        # cross-backend byte-identical-report invariant depends on it).
-        ref = ExperimentSession(**FAST)
-        bat = ExperimentSession(backend="batched", **FAST)
-        assert ref.plan(grid(ref)).campaign_id \
-            == bat.plan(grid(bat)).campaign_id
+    def test_cold_sweep_grid_keeps_its_campaign_id(self):
+        # The repo benchmark's cold-sweep grid, planned without
+        # simulating anything.  Its id is printed into the sweep output
+        # that perfbench/expected.json pins, so a drifting id (a
+        # descriptor change, a CACHE_FORMAT_VERSION or
+        # CAMPAIGN_FORMAT_VERSION bump) must fail here first.
+        spec = PRESETS["policy_width"] \
+            .with_axis("workload", ("2_MIX",)) \
+            .with_axis("engine", ("stream", "gshare+BTB")) \
+            .with_axis("seed", (0, 1))
+        session = ExperimentSession(cycles=600, warmup=300)
+        plan = session.plan(cell for _, cell
+                            in expand_cells(spec, session))
+        assert len(plan.by_key) == 16
+        assert plan.campaign_id == "63d9d6cb03d75aa8"
 
     def test_id_changes_when_the_grid_changes(self):
         session = ExperimentSession(**FAST)

@@ -11,8 +11,12 @@ and the fault-injection harness.
 import json
 import multiprocessing
 
-from repro.campaign import CellQueue, read_manifest
+import pytest
+
+from repro.campaign import CellQueue, StaleCampaignError, read_manifest
+from repro.campaign.cells import descriptor_for
 from repro.campaign.worker import drain, worker_process_entry
+from repro.core.config import canonical_hash
 from repro.experiments import ExperimentSession
 from repro.experiments.cache import ResultCache
 from repro.resilience import FaultSpec, inject_faults
@@ -104,6 +108,41 @@ class TestWorkerDeathAndResume:
         after = (tmp_path / "campaigns" / info.campaign_id
                  / "manifest.json").read_bytes()
         assert after == before
+
+    def test_campaign_dir_from_an_older_descriptor_format_is_refused(
+            self, tmp_path):
+        # A campaign planned while SimConfig still had a ``backend``
+        # field: same campaign id as today's plan (the id ignored that
+        # field), but every manifest entry and queue row carries a key
+        # and a config this version cannot rebuild.
+        session = ExperimentSession(
+            campaign_dir=str(tmp_path / "campaigns"), **FAST)
+        cells = grid(session)
+        cid = session.plan(cells).campaign_id
+        old = []
+        for cell in cells:
+            descriptor = descriptor_for(cell)
+            descriptor["config"] = {**descriptor["config"],
+                                    "backend": "reference"}
+            old.append((canonical_hash(descriptor), descriptor))
+        cdir = tmp_path / "campaigns" / cid
+        cdir.mkdir(parents=True)
+        (cdir / "manifest.json").write_text(json.dumps(
+            {"campaign": cid, "version": 1,
+             "cells": [{"key": key, "cell": d}
+                       for key, d in sorted(old,
+                                            key=lambda kd: kd[0])]},
+            indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with CellQueue(cdir / "queue.sqlite") as queue:
+            queue.add([(old[0][0], old[0][1], "old-row")])
+
+        with pytest.raises(StaleCampaignError) as err:
+            session.run_cells(cells)
+        assert str(cdir) in str(err.value)
+        assert "fresh --campaign-dir" in str(err.value)
+        assert session.simulated == 0
+        with CellQueue(cdir / "queue.sqlite") as queue:
+            assert queue.counts() == {"pending": 1}   # nothing enqueued
 
 
 class TestSupervisedCrashReport:

@@ -11,9 +11,10 @@ import json
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.campaign.cells import Cell, execute_cell
 from repro.core.config import SimConfig
 from repro.core.simulator import simulate
-from repro.experiments.session import Cell, ExperimentSession, _execute_cell
+from repro.experiments.session import ExperimentSession
 
 CELL = Cell(workload="2_MIX", engine="stream", policy="ICOUNT.2.8",
             cycles=600, warmup=300, config=SimConfig(seed=3))
@@ -41,10 +42,10 @@ class TestDeterminism:
         executor pickles it again for the worker), exactly like a
         ``jobs > 1`` session run.
         """
-        local = _execute_cell(CELL)
+        local = execute_cell(CELL)
         roundtripped = pickle.loads(pickle.dumps(CELL))
         with ProcessPoolExecutor(max_workers=1) as pool:
-            remote = pool.submit(_execute_cell, roundtripped).result()
+            remote = pool.submit(execute_cell, roundtripped).result()
         assert render(local) == render(remote)
 
     def test_session_memo_and_fresh_session_agree(self, tmp_path):

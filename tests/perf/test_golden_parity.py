@@ -1,20 +1,15 @@
-"""Golden-parity contract for hot-path optimisations and backends.
+"""Golden-parity contract for hot-path optimisations.
 
 The cycle loop is aggressively optimised (event-wheel writeback,
-ready-count wakeup, closure-specialised stages) and now sits behind a
-pluggable backend seam; these tests pin the contract that none of it
-may change a simulated outcome.  The fixture was generated *before*
-the optimisations and must keep matching byte-for-byte — on **every**
-registered backend, since backends may differ only in speed; see
-:mod:`repro.perf.parity` for the regeneration protocol when an
-intentional behaviour change lands.
+ready-count wakeup, closure-specialised stages); these tests pin the
+contract that none of it may change a simulated outcome.  The fixture
+was generated *before* the optimisations and must keep matching
+byte-for-byte; see :mod:`repro.perf.parity` for the regeneration
+protocol when an intentional behaviour change lands.
 """
 
 from pathlib import Path
 
-import pytest
-
-from repro.backend import available_backends
 from repro.core.config import SimConfig
 from repro.experiments.cache import cell_key
 from repro.perf.parity import (
@@ -36,54 +31,29 @@ class TestGoldenParity:
             assert f'"{parity_label(workload, engine, policy, seed)}"' \
                 in text
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_simulation_results_byte_identical(self, backend):
-        """Every pinned cell reproduces its fixture dict byte-for-byte.
-
-        Parametrised over every registered backend: the fixture is
-        backend-independent, so this is simultaneously the hot-path
-        parity gate and the backend-interchangeability gate.
-        """
-        got = canonical_json(collect_parity(backend=backend))
+    def test_simulation_results_byte_identical(self):
+        """Every pinned cell reproduces its fixture dict byte-for-byte."""
+        got = canonical_json(collect_parity())
         want = FIXTURE.read_text(encoding="utf-8")
         assert got == want, (
-            f"SimResult parity broken on backend {backend!r}: a change "
-            "altered a simulated outcome.  If the (reference-backend) "
-            "change is intentional, regenerate the fixture (see "
-            "repro/perf/parity.py) and bump CACHE_FORMAT_VERSION in "
-            "the same commit.  A divergence on a non-reference backend "
-            "is a bug in that backend, never a fixture problem.")
+            "SimResult parity broken: a change altered a simulated "
+            "outcome.  If the change is intentional, regenerate the "
+            "fixture (see repro/perf/parity.py) and bump "
+            "CACHE_FORMAT_VERSION in the same commit.")
 
     def test_cache_fingerprints_unchanged(self):
         """Content-addressed cache keys are pinned alongside results.
 
-        Warm caches written since the backend seam landed must keep
-        hitting: the cell key of a known cell and the default config
-        fingerprint are frozen here.  (The pins were regenerated when
-        ``SimConfig`` gained the ``backend`` field and the versioned
-        fingerprint schema — that PR invalidated older caches by
-        design.)
+        Warm caches must keep hitting: the cell key of a known cell
+        and the default config fingerprint are frozen here.  (The pins
+        were last regenerated when ``SimConfig`` lost its ``backend``
+        field and ``CONFIG_SCHEMA_VERSION`` went to 3 — that change
+        invalidated older caches by design.)
         """
         assert SimConfig().fingerprint() == (
-            "06a02627c3824a21da529bc4f76020b5"
-            "1f5504bf7081e72bd73027193a71189c")
+            "46447651e66760fdd0b2879b64a0cb41"
+            "0c8a38d2c8f76e465e935f6ba143f3f6")
         assert cell_key("2_MIX", "stream", "ICOUNT.2.8",
                         PARITY_CYCLES, PARITY_WARMUP, SimConfig()) == (
-            "748d37b302f73ae30335966cde024071"
-            "e9479f43116f5b05f4ce1f471afcd6cb")
-
-    def test_backend_identity_changes_fingerprints(self):
-        """Backend identity participates in every cache key.
-
-        Cached results are tagged with the backend that produced them:
-        byte-equality is *verified* on the parity grid, not assumed for
-        arbitrary cells, so a backend bug can never poison the cache of
-        another backend.
-        """
-        reference = SimConfig()
-        batched = SimConfig(backend="batched")
-        assert reference.fingerprint() != batched.fingerprint()
-        assert cell_key("2_MIX", "stream", "ICOUNT.2.8", PARITY_CYCLES,
-                        PARITY_WARMUP, reference) != \
-            cell_key("2_MIX", "stream", "ICOUNT.2.8", PARITY_CYCLES,
-                     PARITY_WARMUP, batched)
+            "3cf035f3c46bf7d0e3d2acc8f584842b"
+            "f054b360e14b3acb163e6191717fd531")

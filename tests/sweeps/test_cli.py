@@ -139,38 +139,6 @@ class TestEndToEnd:
         counts = [int(m) for m in re.findall(r"\((\d+) cells\)", out)]
         assert counts == [spec.n_cells() for spec in PRESETS.values()]
 
-    def test_backend_flag_reproduces_reference_report(self, tmp_path):
-        # Backends are parity-checked interchangeable: the same sweep
-        # through the batched backend must render byte-identical
-        # reports (separate cache dirs — backend is part of the key).
-        (tmp_path / "ref").mkdir()
-        (tmp_path / "bat").mkdir()
-        reference = run_cli(tmp_path / "ref", *self.AXES)
-        batched = run_cli(tmp_path / "bat", *self.AXES,
-                          "--backend", "batched")
-        assert reference == batched
-
-    def test_backend_axis_agrees_across_backends(self, tmp_path):
-        text = run_cli(tmp_path, "--axis", "backend=reference,batched",
-                       "--axis", "workload=2_MIX",
-                       "--axis", "engine=stream",
-                       "--axis", "policy=ICOUNT.2.8", fmt="csv")
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert [row["backend"] for row in rows] \
-            == ["reference", "batched"]
-        assert rows[0]["mean_ipc"] == rows[1]["mean_ipc"]
-        assert float(rows[1]["speedup"]) == 1.0
-
-    def test_unknown_backend_flag_is_clean(self, tmp_path):
-        with pytest.raises(SystemExit, match="backend"):
-            cli.main(["--preset", "ftq_depth", "--backend", "turbo",
-                      "--cache-dir", str(tmp_path), *FAST])
-
-    def test_unknown_backend_axis_value_suggests(self, tmp_path):
-        with pytest.raises(SystemExit, match="reference"):
-            cli.main(["--axis", "backend=refrence", "--cache-dir",
-                      str(tmp_path), *FAST])
-
     def test_prune_cache_bounds_the_store(self, tmp_path, capsys):
         run_cli(tmp_path, *self.AXES, "--seeds", "3",
                 "--prune-cache", "2")
