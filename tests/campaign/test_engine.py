@@ -60,6 +60,16 @@ class TestCampaignIdentity:
         assert len(plan.by_key) == 16
         assert plan.campaign_id == "63d9d6cb03d75aa8"
 
+    def test_id_ignores_the_backend(self):
+        # How cells execute — worker count, retries, timeouts, where
+        # the campaign state lives — never enters the id: it names the
+        # measurements, and every cell runs on the one engine.
+        cells = grid(ExperimentSession(**FAST))
+        plain = ExperimentSession(**FAST).plan(cells).campaign_id
+        tuned = ExperimentSession(jobs=4, retries=2, cell_timeout=60.0,
+                                  strict=False, **FAST)
+        assert tuned.plan(cells).campaign_id == plain
+
     def test_id_changes_when_the_grid_changes(self):
         session = ExperimentSession(**FAST)
         assert session.plan(grid(session)).campaign_id \

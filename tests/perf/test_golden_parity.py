@@ -10,8 +10,11 @@ protocol when an intentional behaviour change lands.
 
 from pathlib import Path
 
+import pytest
+
 from repro.core.config import SimConfig
 from repro.experiments.cache import cell_key
+from repro.experiments.session import ExperimentSession
 from repro.perf.parity import (
     PARITY_CELLS,
     PARITY_CYCLES,
@@ -24,6 +27,18 @@ from repro.perf.parity import (
 FIXTURE = Path(__file__).with_name("golden_parity.json")
 
 
+def collect_parity_batched() -> dict[str, dict]:
+    """The pinned grid, run as one campaign through a session."""
+    session = ExperimentSession(cycles=PARITY_CYCLES,
+                                warmup=PARITY_WARMUP)
+    cells = {parity_label(w, e, p, seed):
+             session.make_cell(w, e, p, config=SimConfig(seed=seed))
+             for w, e, p, seed in PARITY_CELLS}
+    results = session.run_cells(cells.values())
+    return {label: results[cell].to_dict()
+            for label, cell in cells.items()}
+
+
 class TestGoldenParity:
     def test_fixture_exists_and_covers_grid(self):
         text = FIXTURE.read_text(encoding="utf-8")
@@ -31,9 +46,17 @@ class TestGoldenParity:
             assert f'"{parity_label(workload, engine, policy, seed)}"' \
                 in text
 
-    def test_simulation_results_byte_identical(self):
-        """Every pinned cell reproduces its fixture dict byte-for-byte."""
-        got = canonical_json(collect_parity())
+    @pytest.mark.parametrize("route", ["batched", "reference"])
+    def test_simulation_results_byte_identical(self, route):
+        """Every pinned cell reproduces its fixture dict byte-for-byte.
+
+        Parametrised over the two ways a cell reaches the engine:
+        ``reference`` is one ``simulate`` call per cell, ``batched``
+        runs the whole grid as one campaign whose queue is drained in
+        lease batches.  Where a cell runs must not change its result.
+        """
+        got = canonical_json(collect_parity() if route == "reference"
+                             else collect_parity_batched())
         want = FIXTURE.read_text(encoding="utf-8")
         assert got == want, (
             "SimResult parity broken: a change altered a simulated "

@@ -139,6 +139,35 @@ class TestEndToEnd:
         counts = [int(m) for m in re.findall(r"\((\d+) cells\)", out)]
         assert counts == [spec.n_cells() for spec in PRESETS.values()]
 
+    def test_backend_flag_reproduces_reference_report(self, tmp_path):
+        # A durable campaign (queue and manifest under the cache dir)
+        # and an ephemeral one render byte-identical reports.
+        (tmp_path / "durable").mkdir()
+        (tmp_path / "ephemeral").mkdir()
+        durable = run_cli(tmp_path / "durable", *self.AXES)
+        ephemeral = run_cli(tmp_path / "ephemeral", *self.AXES,
+                            "--no-cache")
+        assert durable == ephemeral
+
+    def test_backend_axis_agrees_across_backends(self, tmp_path):
+        # In-process and two spawned workers agree on every row.
+        (tmp_path / "inline").mkdir()
+        (tmp_path / "workers").mkdir()
+        inline = run_cli(tmp_path / "inline", *self.AXES)
+        workers = run_cli(tmp_path / "workers", *self.AXES,
+                          "--jobs", "2")
+        assert inline == workers
+        rows = list(csv.DictReader(io.StringIO(inline)))
+        assert float(rows[0]["speedup"]) == 1.0
+
+    def test_unknown_backend_axis_value_suggests(self, tmp_path):
+        # ``backend`` is no longer an axis: it fails like any unknown
+        # axis, naming what is accepted.
+        with pytest.raises(SystemExit, match="unknown sweep axis") as err:
+            cli.main(["--axis", "backend=reference", "--cache-dir",
+                      str(tmp_path), *FAST])
+        assert "SimConfig field" in str(err.value)
+
     def test_prune_cache_bounds_the_store(self, tmp_path, capsys):
         run_cli(tmp_path, *self.AXES, "--seeds", "3",
                 "--prune-cache", "2")
