@@ -3,7 +3,7 @@
 
 Usage::
 
-    python scripts/run_sweep.py --sweep ... --plan-only   # prints <id>
+    python scripts/run_sweep.py --preset ... --plan-only  # prints <id>
     python scripts/campaign_worker.py \
         --campaign .repro-cache/campaigns/<id> &   # as many as you like
     python scripts/campaign_worker.py \
@@ -37,7 +37,8 @@ from repro.campaign.manifest import MANIFEST_NAME, QUEUE_NAME
 from repro.campaign.queue import CellQueue
 from repro.campaign.worker import DEFAULT_LEASE_SECONDS, \
     DEFAULT_POLL_SECONDS, drain, write_worker_metrics
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.experiments import cli
+from repro.experiments.cache import ResultCache
 from repro.obs.journal import open_journal
 from repro.obs.logging_setup import (
     add_logging_args,
@@ -56,28 +57,19 @@ def parse_args(argv=None) -> argparse.Namespace:
                              f"{MANIFEST_NAME} and {QUEUE_NAME}), as "
                              "planned by run_sweep.py/run_experiments.py "
                              "--plan-only")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="shared result cache to write completed "
-                             f"cells into (default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not write a result cache (results "
-                             "still land in the queue rows)")
+    cli.add_cache_args(parser)
     parser.add_argument("--worker-id", default=None,
                         help="lease owner name (default: "
                              "worker-<hostname>-<pid>)")
-    parser.add_argument("--lease-batch", type=int, default=8,
+    parser.add_argument("--lease-batch", type=cli.bounded(int, 1), default=8,
                         help="cells to claim per lease round "
                              "(default: 8)")
-    parser.add_argument("--lease-seconds", type=float,
+    parser.add_argument("--lease-seconds",
+                        type=cli.bounded(float, 0, inclusive=False),
                         default=DEFAULT_LEASE_SECONDS,
                         help="lease deadline; a worker silent this long "
                              "forfeits its cells (default: "
                              f"{DEFAULT_LEASE_SECONDS:g})")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell wall-clock budget; runs each "
-                             "attempt in an isolated child process "
-                             "(default: unlimited, in-process)")
     parser.add_argument("--poll", type=float,
                         default=DEFAULT_POLL_SECONDS,
                         help="sleep between empty lease rounds "
@@ -86,14 +78,16 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="exit at the first empty lease round "
                              "instead of waiting for other workers' "
                              "leases and retry backoffs to resolve")
-    parser.add_argument("--heartbeat-stale", type=float,
+    parser.add_argument("--heartbeat-stale",
+                        type=cli.bounded(float, 0, inclusive=False),
                         default=DEFAULT_HEARTBEAT_STALE_SECONDS,
                         metavar="SECONDS",
                         help="release other workers' leases early when "
                              "their heartbeat is silent this long "
                              "(default: "
                              f"{DEFAULT_HEARTBEAT_STALE_SECONDS:g})")
-    parser.add_argument("--cell-memory-mb", type=float, default=None,
+    parser.add_argument("--cell-memory-mb", default=None,
+                        type=cli.bounded(float, 0, inclusive=False),
                         metavar="MB",
                         help="address-space ceiling for isolated cell "
                              "attempts (requires --cell-timeout or a "
@@ -105,23 +99,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "64 MB, or $REPRO_DISK_FLOOR_MB; 0 "
                              "disables)")
     add_logging_args(parser)
-    args = parser.parse_args(argv)
-    if args.lease_batch < 1:
-        parser.error(f"--lease-batch must be >= 1, got "
-                     f"{args.lease_batch}")
-    if args.lease_seconds <= 0:
-        parser.error(f"--lease-seconds must be > 0, got "
-                     f"{args.lease_seconds}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be > 0, got "
-                     f"{args.cell_timeout}")
-    if args.heartbeat_stale <= 0:
-        parser.error(f"--heartbeat-stale must be > 0, got "
-                     f"{args.heartbeat_stale}")
-    if args.cell_memory_mb is not None and args.cell_memory_mb <= 0:
-        parser.error(f"--cell-memory-mb must be > 0, got "
-                     f"{args.cell_memory_mb}")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> None:

@@ -16,20 +16,11 @@ persistent content-addressed cache (``--cache-dir``, default
 with zero simulations executed.  Results are cell-for-cell identical
 to a serial run: each simulation is deterministic given (seed, config).
 
-Every run plans a **campaign** (see :mod:`repro.campaign`): the full
-deduplicated grid is content-hashed into a campaign id (printed to
-stderr and stamped into the output), and with a persistent cache the
-campaign's manifest and durable cell queue live under
-``--campaign-dir`` (default: ``<cache-dir>/campaigns``).
-``--plan-only`` writes that state and prints the id without executing
-(drain it with ``scripts/campaign_worker.py``); ``--resume <id>``
-asserts this invocation continues that exact campaign;
-``--verify-cache`` audits every cache entry up front, quarantining
-corrupt ones.
-
-A bare integer positional argument is still accepted as the cycle
-count for backward compatibility with the old
-``run_experiments.py [cycles]`` form.
+Every run plans a **campaign** (see :mod:`repro.campaign`) whose id
+is printed to stderr and stamped into the output.  The planning flags
+(``--jobs``, ``--plan-only``, ``--resume``, ``--retries``, ...) and
+their checks are shared with ``run_sweep.py`` through
+:mod:`repro.experiments.cli`.
 """
 
 import argparse
@@ -37,20 +28,16 @@ import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
-from repro.campaign import StaleCampaignError
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
-    format_claims, format_figure
-from repro.experiments.cache import DEFAULT_CACHE_DIR
-from repro.obs.logging_setup import add_logging_args, setup_from_args
-from repro.perf.profiling import maybe_profiled
+    cli, format_claims, format_figure
 from repro.resilience import CellExecutionError
 from repro.experiments.paper_data import DISTRIBUTION_CLAIMS, \
     FIG2_ANCHORS, SUPERSCALAR_CLAIMS
 from repro.program import SPECINT2000, program_for
 from repro.trace import dynamic_stats
 
+PROG = "run_experiments"
 SECTIONS = ("table1", "figures", "claims", "dist", "superscalar")
 
 SUPERSCALAR_ENGINES = ("gshare+BTB", "gskew+FTB", "stream")
@@ -62,115 +49,36 @@ def fmt(x) -> str:
     return f"{x:.2f}" if x is not None else "-"
 
 
-def skip_section(name: str, exc: Exception) -> None:
-    """Partial-results mode: mark a section its failed cells killed.
+SKIPPED = "*(section skipped: cell(s) failed after retries — see stderr)*"
 
-    The document gets an explicit placeholder (a reader must see the
-    hole, not a silently absent table) and stderr gets the cause.
+
+def surviving(name: str, build, skipped: list | None = None):
+    """``build()``, or ``None`` once a failed cell killed section ``name``.
+
+    Partial-results mode: stderr gets the cause and ``skipped`` the
+    name; the caller marks the hole in the document (a reader must see
+    it, not a silently absent table).
     """
-    print(f"*(section skipped: cell(s) failed after retries — "
-          f"see stderr)*")
-    print(f"[run_experiments] section {name!r} skipped: {exc}",
-          file=sys.stderr)
+    try:
+        return build()
+    except CellExecutionError as exc:
+        print(f"[{PROG}] section {name!r} skipped: {exc}", file=sys.stderr)
+        if skipped is not None:
+            skipped.append(name)
+        return None
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description="Regenerate every figure/table of the paper.")
-    parser.add_argument("legacy_cycles", nargs="?", type=int, default=None,
-                        metavar="cycles",
-                        help="positional cycle count (legacy form; "
-                             "--cycles takes precedence)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for uncached cells "
-                             "(default: 1, serial)")
-    parser.add_argument("--cycles", type=int, default=None,
-                        help="measured cycles per grid cell "
-                             "(default: 20000)")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="warm-up cycles per cell (default: the "
-                             "config's warmup_cycles)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="persistent result cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent cache (in-process "
-                             "memoisation only)")
-    parser.add_argument("--campaign-dir", default=None, metavar="DIR",
-                        help="root for durable campaign state "
-                             "(manifest + cell queue; default: "
-                             "<cache-dir>/campaigns, or ephemeral "
-                             "with --no-cache)")
-    parser.add_argument("--resume", default=None, metavar="CAMPAIGN_ID",
-                        help="require this invocation to continue the "
-                             "given campaign (error if the planned "
-                             "grid hashes to a different id)")
-    parser.add_argument("--plan-only", action="store_true",
-                        help="plan the campaign (manifest + queue "
-                             "under --campaign-dir), print its id to "
-                             "stdout and exit without simulating")
-    parser.add_argument("--verify-cache", action="store_true",
-                        help="before running, validate every cache "
-                             "entry and quarantine corrupt ones")
-    parser.add_argument("--prune-cache", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="after the run, evict the oldest cache "
-                             "entries beyond this budget")
-    parser.add_argument("--cache-budget", type=int, default=None,
-                        metavar="MAX_ENTRIES",
-                        help="auto-prune the cache to this many entries "
-                             "when the session closes (maintenance "
-                             "policy; unbounded by default)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-execute a failing cell up to N extra "
-                             "times before giving up on it "
-                             "(default: 0)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per cell execution; a "
-                             "hung cell is killed and retried "
-                             "(default: unlimited)")
-    parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="abort on the first cell that exhausts its "
-                             "retries (default; --no-strict emits the "
-                             "sections that survive and exits 3)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top-25 "
-                             "cumulative entries to stderr")
     parser.add_argument("--only", default=None,
                         help="comma-separated subset to regenerate: "
                              "figure ids (fig2,fig5a,...) and/or section "
                              f"names ({','.join(SECTIONS)})")
     parser.add_argument("--format", dest="fmt", choices=("md", "json"),
                         default="md", help="output format (default: md)")
-    add_logging_args(parser)
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error(f"--cell-timeout must be > 0, got "
-                     f"{args.cell_timeout}")
-    if args.prune_cache is not None and args.no_cache:
-        parser.error("--prune-cache is meaningless with --no-cache")
-    if args.cache_budget is not None and args.no_cache:
-        parser.error("--cache-budget is meaningless with --no-cache")
-    if args.verify_cache and args.no_cache:
-        parser.error("--verify-cache is meaningless with --no-cache")
-    if args.campaign_dir is None and not args.no_cache:
-        args.campaign_dir = str(Path(args.cache_dir) / "campaigns")
-    if args.plan_only and args.campaign_dir is None:
-        parser.error("--plan-only needs a --campaign-dir (an ephemeral "
-                     "plan has nobody to execute it)")
-    if args.resume is not None and args.campaign_dir is None:
-        parser.error("--resume needs a --campaign-dir (ephemeral "
-                     "campaigns leave nothing to resume)")
-    if args.cycles is None:
-        args.cycles = args.legacy_cycles if args.legacy_cycles is not None \
-            else 20_000
-    return args
+    cli.add_campaign_args(parser, strict=True)
+    return cli.parse_campaign_args(parser, argv)
 
 
 def select(only: str | None) -> tuple[set, set]:
@@ -292,10 +200,10 @@ def emit_markdown(session: ExperimentSession, sections: set, fig_ids: set,
         print("effect matches but the magnitude differs; `NO` = shape "
               "broken.")
         print()
-        try:
-            claims = format_claims(session.check_claims(PAPER_CLAIMS))
-        except CellExecutionError as exc:
-            skip_section("claims", exc)
+        claims = surviving("claims", lambda: format_claims(
+            session.check_claims(PAPER_CLAIMS)))
+        if claims is None:
+            print(SKIPPED)
         else:
             print("```")
             print(claims)
@@ -309,12 +217,12 @@ def emit_markdown(session: ExperimentSession, sections: set, fig_ids: set,
         print("Share of fetch cycles delivering at least N instructions,")
         print("gshare+BTB on gzip-twolf (2_MIX):")
         print()
-        try:
-            dist = {policy: session.measure(DIST_WORKLOAD, DIST_ENGINE,
-                                            policy).delivered_at_least
-                    for policy in DISTRIBUTION_CLAIMS}
-        except CellExecutionError as exc:
-            skip_section("dist", exc)
+        dist = surviving("dist", lambda: {
+            policy: session.measure(DIST_WORKLOAD, DIST_ENGINE,
+                                    policy).delivered_at_least
+            for policy in DISTRIBUTION_CLAIMS})
+        if dist is None:
+            print(SKIPPED)
         else:
             print("| policy | >=4 paper | >=4 meas | >=8 paper | "
                   ">=8 meas | >=16 paper | >=16 meas |")
@@ -331,10 +239,9 @@ def emit_markdown(session: ExperimentSession, sections: set, fig_ids: set,
         print("## Section 3.3 — superscalar (single-thread) engine "
               "comparison")
         print()
-        try:
-            ipc = superscalar_ipc(session)
-        except CellExecutionError as exc:
-            skip_section("superscalar", exc)
+        ipc = surviving("superscalar", lambda: superscalar_ipc(session))
+        if ipc is None:
+            print(SKIPPED)
         else:
             base = ipc["gshare+BTB"]
             print("| engine | paper speedup vs gshare+BTB | measured |")
@@ -369,47 +276,28 @@ def emit_json(session: ExperimentSession, sections: set, fig_ids: set,
                            for (w, e, p), v in result.values.items()]}
     skipped = []
     if "claims" in sections:
-        try:
-            doc["claims"] = [
-                {"claim_id": o.claim.claim_id,
-                 "paper_ratio": o.claim.paper_ratio,
-                 "measured_ratio": o.measured_ratio,
-                 "holds": o.holds, "direction_holds": o.direction_holds}
-                for o in session.check_claims(PAPER_CLAIMS)]
-        except CellExecutionError as exc:
-            doc["claims"] = None
-            skipped.append("claims")
-            print(f"[run_experiments] section 'claims' skipped: {exc}",
-                  file=sys.stderr)
+        doc["claims"] = surviving("claims", lambda: [
+            {"claim_id": o.claim.claim_id,
+             "paper_ratio": o.claim.paper_ratio,
+             "measured_ratio": o.measured_ratio,
+             "holds": o.holds, "direction_holds": o.direction_holds}
+            for o in session.check_claims(PAPER_CLAIMS)], skipped)
     if "dist" in sections:
-        try:
-            doc["distributions"] = [
-                {"policy": policy, "paper": {str(n): v for n, v
-                                             in paper.items()},
-                 "measured": {str(n): v for n, v in session.measure(
-                     DIST_WORKLOAD, DIST_ENGINE,
-                     policy).delivered_at_least.items()}}
-                for policy, paper in DISTRIBUTION_CLAIMS.items()]
-        except CellExecutionError as exc:
-            doc["distributions"] = None
-            skipped.append("dist")
-            print(f"[run_experiments] section 'dist' skipped: {exc}",
-                  file=sys.stderr)
+        doc["distributions"] = surviving("dist", lambda: [
+            {"policy": policy, "paper": {str(n): v for n, v
+                                         in paper.items()},
+             "measured": {str(n): v for n, v in session.measure(
+                 DIST_WORKLOAD, DIST_ENGINE,
+                 policy).delivered_at_least.items()}}
+            for policy, paper in DISTRIBUTION_CLAIMS.items()], skipped)
     if "superscalar" in sections:
-        try:
-            ipc = superscalar_ipc(session)
-        except CellExecutionError as exc:
-            doc["superscalar"] = None
-            skipped.append("superscalar")
-            print(f"[run_experiments] section 'superscalar' skipped: "
-                  f"{exc}", file=sys.stderr)
-        else:
-            doc["superscalar"] = {
-                "ipc": ipc,
-                "paper_speedup": dict(SUPERSCALAR_CLAIMS),
-                "measured_speedup": {engine: ipc[engine]
-                                     / ipc["gshare+BTB"]
-                                     for engine in SUPERSCALAR_ENGINES}}
+        ipc = surviving("superscalar", lambda: superscalar_ipc(session),
+                        skipped)
+        doc["superscalar"] = None if ipc is None else {
+            "ipc": ipc,
+            "paper_speedup": dict(SUPERSCALAR_CLAIMS),
+            "measured_speedup": {engine: ipc[engine] / ipc["gshare+BTB"]
+                                 for engine in SUPERSCALAR_ENGINES}}
     doc["meta"] = {"seconds": round(time.time() - t0, 1),
                    "simulated": session.simulated,
                    "disk_hits": session.disk_hits,
@@ -421,26 +309,7 @@ def emit_json(session: ExperimentSession, sections: set, fig_ids: set,
 
 def run(args) -> None:
     sections, fig_ids = select(args.only)
-    try:
-        session = ExperimentSession(
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            cycles=args.cycles, warmup=args.warmup,
-            cache_budget_entries=args.cache_budget,
-            retries=args.retries, cell_timeout=args.cell_timeout,
-            strict=args.strict,
-            campaign_dir=args.campaign_dir)
-    except ValueError as exc:
-        # An invalid setting (a negative --cache-budget) is a user
-        # error: report the message, not a traceback.
-        raise SystemExit(f"run_experiments: {exc}") from None
-
-    if args.verify_cache:
-        audit = session.disk.verify()
-        print(f"[run_experiments] cache verify: {audit['checked']} "
-              f"checked, {audit['healthy']} healthy, "
-              f"{audit['quarantined']} quarantined", file=sys.stderr)
-
+    session = cli.open_session(PROG, args)
     t0 = time.time()
     # One up-front batch: every cell the selected sections will read,
     # deduplicated and fanned out across the worker pool.  The section
@@ -448,82 +317,27 @@ def run(args) -> None:
     cells = enumerate_cells(session, sections, fig_ids)
     campaign = None
     if cells:
-        # The plan names the campaign before anything executes, so a
-        # mismatched --resume aborts without simulating a single cell.
-        campaign = session.plan(cells).info
-        if args.resume is not None \
-                and campaign.campaign_id != args.resume:
-            raise SystemExit(
-                f"run_experiments: --resume {args.resume} does not "
-                f"match this invocation's grid (plans to campaign "
-                f"{campaign.campaign_id}); re-run with the original "
-                "flags or drop --resume")
-        print(f"[run_experiments] campaign {campaign.campaign_id} "
-              f"({campaign.cells} distinct cells, {campaign.pending} "
-              "to simulate)", file=sys.stderr)
-        if args.plan_only:
-            info = session.plan_campaign(cells)
-            print(f"[run_experiments] campaign planned under "
-                  f"{args.campaign_dir}/{info.campaign_id} — drain it "
-                  "with scripts/campaign_worker.py", file=sys.stderr)
-            print(info.campaign_id)
-            session.close()
+        campaign = cli.plan(PROG, session, args, cells)
+        if campaign is None:
             return
-        try:
+        with cli.strict_abort(PROG):
             session.run_cells(cells)
-        except CellExecutionError as exc:
-            raise SystemExit(
-                f"run_experiments: {exc}\n(use --no-strict to emit the "
-                "surviving sections, --retries/--cell-timeout to "
-                "recover flaky cells)") from None
-        print(f"[run_experiments] {session.summary()} "
+        print(f"[{PROG}] {session.summary()} "
               f"({time.time() - t0:.0f} s, jobs={args.jobs})",
               file=sys.stderr)
     elif args.plan_only:
-        raise SystemExit("run_experiments: --plan-only selected no "
-                         "simulation cells (--only table1 has nothing "
-                         "to plan)")
+        raise SystemExit(f"{PROG}: --plan-only selected no simulation "
+                         "cells (--only table1 has nothing to plan)")
 
-    if args.fmt == "json":
-        emit_json(session, sections, fig_ids, args.cycles, t0, campaign)
-    else:
-        emit_markdown(session, sections, fig_ids, args.cycles, t0,
-                      campaign)
-
-    if args.prune_cache is not None and session.disk is not None:
-        removed = session.disk.prune(max_entries=args.prune_cache)
-        stats = session.disk.stats()
-        print(f"[run_experiments] cache pruned: {removed} entry(ies) "
-              f"evicted, {stats['entries']} kept "
-              f"({stats['bytes']} bytes)", file=sys.stderr)
-
-    removed = session.close()
-    if removed:
-        print(f"[run_experiments] cache budget: {removed} entry(ies) "
-              f"evicted on close", file=sys.stderr)
-
-    if session.failures:
-        # Partial-results mode: the surviving sections were emitted,
-        # but the run must not look healthy to scripts and CI.
-        print(f"[run_experiments] WARNING: {len(session.failures)} "
-              "cell(s) failed after retries; output is partial",
-              file=sys.stderr)
-        raise SystemExit(3)
+    # Looked up at call time: a caller may wrap the module's renderers.
+    emit = emit_json if args.fmt == "json" else emit_markdown
+    emit(session, sections, fig_ids, args.cycles, t0, campaign)
+    cli.finish(PROG, session, args)
 
 
 def main(argv=None) -> None:
     args = parse_args(argv)
-    setup_from_args(args)
-    try:
-        maybe_profiled(lambda: run(args), enabled=args.profile)
-    except KeyboardInterrupt as exc:
-        # A drained campaign interrupt carries its own resume hint;
-        # a bare ^C at least names the standard exit code.
-        detail = f": {exc}" if exc.args else ""
-        print(f"run_experiments: interrupted{detail}", file=sys.stderr)
-        raise SystemExit(130) from None
-    except StaleCampaignError as exc:
-        raise SystemExit(f"run_experiments: {exc}") from None
+    cli.main(PROG, args, lambda: run(args))
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ from repro.campaign.worker import (
 from repro.core.metrics import SimResult
 from repro.obs.journal import NULL_JOURNAL, open_journal
 from repro.obs.logging_setup import get_logger
-from repro.resilience.policy import CellFailure, RetryPolicy
+from repro.resilience.policy import CellFailure
 
 log = get_logger("campaign.engine")
 
@@ -116,7 +116,7 @@ class Campaign:
     @classmethod
     def open(cls, planned: dict[str, dict], misses, *,
              root: str | Path | None = None,
-             retry: RetryPolicy | None = None,
+             attempts: int = 1,
              need_file: bool = False) -> "Campaign":
         """Plan a campaign: id, manifest, queue, enqueued misses.
 
@@ -132,7 +132,8 @@ class Campaign:
                 *ephemeral* campaign: an in-memory queue, or a
                 throwaway temp directory when ``need_file`` demands a
                 shareable queue file (worker processes).
-            retry: Per-cell budget folded into the queue rows.
+            attempts: Execution attempts each enqueued cell may
+                consume (first try included), stored in its queue row.
             need_file: Require a real queue file even without a root.
 
         Raises:
@@ -140,7 +141,6 @@ class Campaign:
                 with a manifest of other cell keys (planned by an
                 incompatible version); nothing is enqueued.
         """
-        retry = retry or RetryPolicy()
         cid = campaign_id(planned.values())
         ephemeral_dir = None
         journal = NULL_JOURNAL
@@ -167,10 +167,9 @@ class Campaign:
         else:
             queue_file = None
             queue = CellQueue(":memory:")
-        added = queue.add(misses, max_attempts=retry.attempts,
-                          backoff=retry.backoff)
+        added = queue.add(misses, max_attempts=attempts)
         journal.emit("plan", cells=len(planned), enqueued=added,
-                     retry_attempts=retry.attempts)
+                     retry_attempts=attempts)
         return cls(cid, queue, queue_file, ephemeral_dir,
                    journal=journal, dir=cdir, heartbeats=heartbeats)
 

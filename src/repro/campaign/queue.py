@@ -21,9 +21,8 @@ Retry budgets live *in the queue*, not in the caller: every row stores
 ``max_attempts`` and a ``backoff`` base, ``lease`` increments
 ``attempts``, and a nacked row is only re-runnable once its
 deterministic exponential backoff (``backoff * 2**(attempts-1)``)
-expires — this is :class:`repro.resilience.RetryPolicy` folded into
-durable state, so retries survive the death of the process that
-scheduled them.
+expires.  Being durable state, retries survive the death of the
+process that scheduled them.
 
 Crash safety rests on two mechanisms.  A worker that dies holding a
 lease is caught either by its supervisor (``release(owner)`` returns

@@ -20,8 +20,8 @@ exploits that structure, as a *client* of the campaign layer
 * **Execute** — the queue is drained by campaign workers.  ``jobs=1``
   drains inline in this process; ``jobs > 1`` spawns supervised worker
   processes that share the queue file and the result cache.  Retry
-  budgets, deterministic backoff and per-cell wall-clock timeouts all
-  live in queue lease state (see :mod:`repro.campaign.queue`), so a
+  budgets and per-cell wall-clock timeouts both live in queue lease
+  state (see :mod:`repro.campaign.queue`), so a
   crash — of a worker *or* of this planner — loses only in-flight
   cells: every completed cell was acked durably and persisted before
   the crash.  Cells that stay dead after their budget surface as
@@ -49,11 +49,7 @@ from repro.experiments.figures import FigureSpec
 from repro.experiments.paper_data import Claim
 from repro.obs.journal import NULL_JOURNAL
 from repro.resilience.faults import fault_label
-from repro.resilience.policy import (
-    CellExecutionError,
-    CellFailure,
-    RetryPolicy,
-)
+from repro.resilience.policy import CellExecutionError, CellFailure
 
 DEFAULT_CYCLES = 20_000
 """Measured window for figure regeneration (per grid cell)."""
@@ -123,12 +119,10 @@ class ExperimentSession:
             cache is pruned to at most this many entries, oldest-first.
             ``None`` (the default) keeps the cache unbounded.
         retries: Re-execution budget per failed cell (crash, exception
-            or timeout), folded into each queue row's lease state;
-            retried cells are deterministic given (seed, config), so
+            or timeout), folded into each queue row's lease state as
+            ``retries + 1`` attempts; a failed cell is requeued at
+            once, and since it is deterministic given (seed, config),
             recovery never changes a result.
-        retry_backoff: Base seconds of the deterministic exponential
-            backoff between attempts (retry ``n`` waits
-            ``retry_backoff * 2**(n-1)``).
         cell_timeout: Per-cell wall-clock budget in seconds.  A cell
             still running past it is killed and retried/failed instead
             of wedging the campaign.  Also routes execution through
@@ -154,7 +148,6 @@ class ExperimentSession:
                  warmup: int | None = None,
                  cache_budget_entries: int | None = None,
                  retries: int = 0,
-                 retry_backoff: float = 0.0,
                  cell_timeout: float | None = None,
                  strict: bool = True,
                  campaign_dir=None) -> None:
@@ -163,6 +156,11 @@ class ExperimentSession:
         if cache_budget_entries is not None and cache_budget_entries < 0:
             raise ValueError(f"cache_budget_entries must be >= 0, got "
                              f"{cache_budget_entries}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ValueError(f"cell_timeout must be > 0, got "
+                             f"{cell_timeout}")
         self.jobs = jobs
         self.config = config or DEFAULT_CONFIG
         self.cycles = cycles
@@ -170,8 +168,8 @@ class ExperimentSession:
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
         self.cache_budget_entries = cache_budget_entries
         self.campaign_dir = campaign_dir
-        self.retry = RetryPolicy(retries=retries, backoff=retry_backoff,
-                                 cell_timeout=cell_timeout)
+        self.retries = retries
+        self.cell_timeout = cell_timeout
         self.strict = strict
         self._memo: dict[str, SimResult] = {}
         self._closed = False
@@ -303,7 +301,8 @@ class ExperimentSession:
                    fault_label(plan.by_key[key]))
                   for key in plan.misses]
         return Campaign.open(plan.descriptors, misses,
-                             root=self.campaign_dir, retry=self.retry,
+                             root=self.campaign_dir,
+                             attempts=self.retries + 1,
                              need_file=need_file)
 
     # ------------------------------------------------------------------
@@ -376,7 +375,7 @@ class ExperimentSession:
                 workers=workers, spawn=spawn, cache=self.disk,
                 cache_dir=str(self.disk.root)
                 if self.disk is not None else None,
-                cell_timeout=self.retry.cell_timeout,
+                cell_timeout=self.cell_timeout,
                 lease_batch=max(1, min(MAX_LEASE_BATCH,
                                        len(plan.misses) // workers)))
             self.simulated += campaign.attempts() - before

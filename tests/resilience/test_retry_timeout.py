@@ -6,16 +6,18 @@ exercised exactly as a production campaign would hit them — including
 inside worker subprocesses when ``jobs > 1``.
 """
 
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
+from repro import resilience
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments import ExperimentSession
 from repro.resilience import (
     CellExecutionError,
     FaultSpec,
-    RetryPolicy,
     inject_faults,
 )
 
@@ -41,20 +43,41 @@ def as_dicts(results):
         results, key=lambda c: (c.policy, c.config.seed))]
 
 
-class TestRetryPolicy:
-    def test_attempts_is_retries_plus_one(self):
-        assert RetryPolicy().attempts == 1
-        assert RetryPolicy(retries=3).attempts == 4
+def queue_budgets(tmp_path, **kwargs):
+    """(max_attempts, backoff) of every row a planned campaign enqueued."""
+    session = ExperimentSession(cache_dir=tmp_path / "cache",
+                                campaign_dir=tmp_path / "campaigns",
+                                **FAST, **kwargs)
+    info = session.plan_campaign(grid(session))
+    queue = tmp_path / "campaigns" / info.campaign_id / "queue.sqlite"
+    with closing(sqlite3.connect(queue)) as conn:
+        return conn.execute(
+            "SELECT max_attempts, backoff FROM cells").fetchall()
 
-    def test_backoff_doubles_deterministically(self):
-        policy = RetryPolicy(retries=3, backoff=0.5)
-        assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
+
+class TestRetryPolicy:
+    """The retry budget is a queue row's ``max_attempts``, set from
+    ``ExperimentSession(retries=)``; there is no separate policy."""
+
+    def test_attempts_is_retries_plus_one(self, tmp_path):
+        assert {row[0] for row in queue_budgets(tmp_path / "a")} == {1}
+        assert {row[0] for row in queue_budgets(tmp_path / "b",
+                                                retries=3)} == {4}
+
+    def test_backoff_doubles_deterministically(self, tmp_path):
+        # The session never sets a backoff base: a failed cell is
+        # requeued at once, so the queue's doubling schedule is idle.
+        assert {row[1] for row in queue_budgets(tmp_path,
+                                                retries=3)} == {0.0}
+        with pytest.raises(TypeError):
+            ExperimentSession(retry_backoff=0.5)
+        assert not hasattr(resilience, "RetryPolicy")
 
     def test_rejects_negative_budgets(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(cell_timeout=0)
+        with pytest.raises(ValueError, match="retries"):
+            ExperimentSession(retries=-1)
+        with pytest.raises(ValueError, match="cell_timeout"):
+            ExperimentSession(cell_timeout=0)
 
 
 class TestCrashRecovery:
