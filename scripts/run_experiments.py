@@ -28,6 +28,7 @@ import json
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments import FIGURES, PAPER_CLAIMS, ExperimentSession, \
     cli, format_claims, format_figure
@@ -124,9 +125,10 @@ def enumerate_cells(session: ExperimentSession, sections: set,
     return cells
 
 
-def table1_rows() -> list[dict]:
+def table1_share(names) -> list[dict]:
+    """Table 1 rows of ``names``, each from its generated program."""
     rows = []
-    for name in sorted(SPECINT2000):
+    for name in names:
         profile = SPECINT2000[name]
         stats = dynamic_stats(program_for(name), 50_000)
         rows.append({"benchmark": name,
@@ -134,6 +136,30 @@ def table1_rows() -> list[dict]:
                      "avg_bb_measured": stats.avg_block_size,
                      "avg_stream_length": stats.avg_stream_length})
     return rows
+
+
+def table1_rows(jobs: int = 1) -> list[dict]:
+    """Table 1 in name order, its programs generated by ``jobs`` processes.
+
+    Generating the 12 programs is the report's largest cost, so the
+    sorted names are dealt into ``jobs`` shares (``names[i::jobs]``
+    balances them).  This process computes share 0 while a pool of
+    children computes the others.  The pool uses the default start
+    method, like the campaign's workers: on Linux a fork, which skips
+    a fresh import and is safe because this process runs no threads.
+    A share that raises, or a child that dies, fails the whole table.
+    The rows are the same for any ``jobs``: each program is a pure
+    function of its name and seed.
+    """
+    names = sorted(SPECINT2000)
+    shares = [names[i::jobs] for i in range(min(jobs, len(names)))]
+    if len(shares) == 1:
+        return table1_share(names)
+    with ProcessPoolExecutor(len(shares) - 1) as pool:
+        others = pool.map(table1_share, shares[1:])
+        rows = table1_share(shares[0])
+        rows += [row for share in others for row in share]
+    return sorted(rows, key=lambda row: row["benchmark"])
 
 
 def superscalar_ipc(session: ExperimentSession) -> dict[str, float]:
@@ -170,7 +196,7 @@ def emit_markdown(session: ExperimentSession, sections: set, fig_ids: set,
         print("| benchmark | avg BB (paper) | avg BB (measured) | "
               "avg stream length |")
         print("|---|---|---|---|")
-        for row in table1_rows():
+        for row in table1_rows(session.jobs):
             print(f"| {row['benchmark']} | {row['avg_bb_paper']:.2f} | "
                   f"{row['avg_bb_measured']:.2f} | "
                   f"{row['avg_stream_length']:.2f} |")
@@ -262,7 +288,7 @@ def emit_json(session: ExperimentSession, sections: set, fig_ids: set,
                  "provenance": campaign.as_dict()
                  if campaign is not None else None}
     if "table1" in sections:
-        doc["table1"] = table1_rows()
+        doc["table1"] = table1_rows(session.jobs)
     if "figures" in sections:
         doc["figures"] = {}
         for fig_id, spec in FIGURES.items():
@@ -325,9 +351,10 @@ def run(args) -> None:
         print(f"[{PROG}] {session.summary()} "
               f"({time.time() - t0:.0f} s, jobs={args.jobs})",
               file=sys.stderr)
-    elif args.plan_only:
-        raise SystemExit(f"{PROG}: --plan-only selected no simulation "
-                         "cells (--only table1 has nothing to plan)")
+    elif args.plan_only or args.resume is not None:
+        flag = "--plan-only" if args.plan_only else "--resume"
+        raise SystemExit(f"{PROG}: {flag} selected no simulation cells "
+                         "(--only table1 has nothing to plan)")
 
     # Looked up at call time: a caller may wrap the module's renderers.
     emit = emit_json if args.fmt == "json" else emit_markdown

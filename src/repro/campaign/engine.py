@@ -59,7 +59,7 @@ from repro.campaign.health import (
 from repro.campaign.manifest import (
     QUEUE_NAME,
     campaign_dir,
-    campaign_id,
+    campaign_id_for_keys,
     queue_path,
     write_manifest,
 )
@@ -121,10 +121,10 @@ class Campaign:
         """Plan a campaign: id, manifest, queue, enqueued misses.
 
         Args:
-            planned: key -> descriptor for **every** distinct cell of
-                the campaign (hits included) — the id names the whole
-                measurement, so a warm and a cold run of one grid plan
-                to the same campaign.
+            planned: content key -> descriptor for **every** distinct
+                cell of the campaign (hits included) — the id, hashed
+                from the keys, names the whole measurement, so a warm
+                and a cold run of one grid plan to the same campaign.
             misses: iterable of ``(key, descriptor, label)`` for the
                 cells that actually need execution; only these become
                 queue rows.
@@ -141,7 +141,7 @@ class Campaign:
                 with a manifest of other cell keys (planned by an
                 incompatible version); nothing is enqueued.
         """
-        cid = campaign_id(planned.values())
+        cid = campaign_id_for_keys(planned)
         ephemeral_dir = None
         journal = NULL_JOURNAL
         cdir: str | None = None

@@ -58,9 +58,14 @@ def campaign_id(descriptors) -> str:
     type after ``--resume``, long enough that collisions within one
     campaign root are not a practical concern.
     """
-    keys = sorted({canonical_hash(d) for d in descriptors})
+    return campaign_id_for_keys(canonical_hash(d) for d in descriptors)
+
+
+def campaign_id_for_keys(keys) -> str:
+    """:func:`campaign_id` of the cells whose content keys are ``keys``
+    (for a caller that hashed its descriptors already)."""
     return canonical_hash({"version": CAMPAIGN_FORMAT_VERSION,
-                           "cells": keys})[:16]
+                           "cells": sorted(set(keys))})[:16]
 
 
 def campaign_dir(root: str | Path, cid: str) -> Path:

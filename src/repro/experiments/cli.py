@@ -171,7 +171,8 @@ def plan(prog: str, session: ExperimentSession, args: argparse.Namespace,
     Returns the campaign's provenance, or ``None`` once ``--plan-only``
     has persisted the campaign and printed its id: the run is over.
     """
-    info = session.plan(cells).info
+    plan = session.plan(cells)
+    info = plan.info
     if args.resume is not None and info.campaign_id != args.resume:
         raise SystemExit(
             f"{prog}: --resume {args.resume} does not match this "
@@ -181,7 +182,7 @@ def plan(prog: str, session: ExperimentSession, args: argparse.Namespace,
           f"cells, {info.pending} to simulate)", file=sys.stderr)
     if not args.plan_only:
         return info
-    session.plan_campaign(cells)
+    session.plan_campaign(plan=plan)
     print(f"[{prog}] campaign planned under {args.campaign_dir}/"
           f"{info.campaign_id} — drain it with "
           "scripts/campaign_worker.py", file=sys.stderr)

@@ -38,12 +38,14 @@ exactly the result its interrupted attempt would have produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.campaign.cells import Cell, descriptor_for, key_for
 from repro.campaign.engine import Campaign
-from repro.campaign.manifest import campaign_id
+from repro.campaign.manifest import campaign_id_for_keys
 from repro.core.config import DEFAULT_CONFIG, SimConfig
 from repro.core.metrics import SimResult
+from repro.core.workloads import resolve_workload
 from repro.experiments.cache import ResultCache
 from repro.experiments.figures import FigureSpec
 from repro.experiments.paper_data import Claim
@@ -58,7 +60,12 @@ MAX_LEASE_BATCH = 8
 """Upper bound on cells per worker lease: large enough that a worker
 makes few queue round-trips (one lease per batch instead of per
 cell), small enough that a dying worker forfeits little work and
-queue progress stays observable."""
+queue progress stays observable.  A session leases
+``min(MAX_LEASE_BATCH, misses // workers)`` cells at a time, so a
+16-cell grid on two workers is one 8-cell lease per worker.  Misses
+are enqueued grouped by the programs they need (see
+:meth:`ExperimentSession._open_campaign`), so the cells of one lease
+also share their programs: each worker generates only those."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,16 @@ class CampaignPlan:
     cells: list[Cell]
     keys: dict[Cell, str]
     by_key: dict[str, Cell]
-    descriptors: dict[str, dict] = field(repr=False)
     cached: dict[str, SimResult] = field(repr=False)
     misses: list[str]
     campaign_id: str
+
+    @cached_property
+    def descriptors(self) -> dict[str, dict]:
+        """key -> descriptor of every distinct cell, built on first use
+        (only a campaign that is opened needs them)."""
+        return {key: descriptor_for(cell)
+                for key, cell in self.by_key.items()}
 
     @property
     def info(self) -> CampaignInfo:
@@ -172,6 +185,7 @@ class ExperimentSession:
         self.cell_timeout = cell_timeout
         self.strict = strict
         self._memo: dict[str, SimResult] = {}
+        self._keys: dict[Cell, str] = {}
         self._closed = False
         # Execution attempts charged in campaign queues: equals
         # distinct cells simulated on a healthy run; under faults,
@@ -241,8 +255,11 @@ class ExperimentSession:
         return Cell(workload, engine, policy, cycles, warmup, config)
 
     def key_for(self, cell: Cell) -> str:
-        """Content-hash cache key of ``cell``."""
-        return key_for(cell)
+        """Content-hash cache key of ``cell``, hashed once per session."""
+        key = self._keys.get(cell)
+        if key is None:
+            key = self._keys[cell] = key_for(cell)
+        return key
 
     # ------------------------------------------------------------------
     # plan
@@ -257,13 +274,10 @@ class ExperimentSession:
         populated the cache.
         """
         cells = list(cells)
-        keys: dict[Cell, str] = {}
+        keys = {cell: self.key_for(cell) for cell in cells}
         by_key: dict[str, Cell] = {}
-        for cell in cells:
-            key = keys.setdefault(cell, key_for(cell))
+        for cell, key in keys.items():
             by_key.setdefault(key, cell)
-        descriptors = {key: descriptor_for(cell)
-                       for key, cell in by_key.items()}
         cached: dict[str, SimResult] = {}
         misses: list[str] = []
         for key in by_key:
@@ -273,23 +287,26 @@ class ExperimentSession:
             else:
                 misses.append(key)
         return CampaignPlan(cells=cells, keys=keys, by_key=by_key,
-                            descriptors=descriptors, cached=cached,
-                            misses=misses,
-                            campaign_id=campaign_id(descriptors.values()))
+                            cached=cached, misses=misses,
+                            campaign_id=campaign_id_for_keys(by_key))
 
-    def plan_campaign(self, cells) -> CampaignInfo:
+    def plan_campaign(self, cells=None, *,
+                      plan: CampaignPlan | None = None) -> CampaignInfo:
         """Plan *and persist* a campaign without executing anything.
 
         Writes the manifest and enqueues the misses under
         ``campaign_dir``, so external workers
         (``scripts/campaign_worker.py``) can start draining while the
-        planner goes away.  Requires a ``campaign_dir``.
+        planner goes away.  Requires a ``campaign_dir``.  Pass the
+        ``plan`` :meth:`plan` already made of ``cells`` to persist it
+        without planning again.
         """
         if self.campaign_dir is None:
             raise ValueError("plan_campaign needs a campaign_dir "
                              "(ephemeral campaigns cannot be handed to "
                              "external workers)")
-        plan = self.plan(cells)
+        if plan is None:
+            plan = self.plan(cells)
         with self._open_campaign(plan, need_file=True):
             pass
         self.last_campaign = plan.info
@@ -297,9 +314,21 @@ class ExperimentSession:
 
     def _open_campaign(self, plan: CampaignPlan, *,
                        need_file: bool) -> Campaign:
+        """Open the plan's campaign, its misses enqueued by program.
+
+        The queue leases in enqueue order, so the misses are stably
+        sorted by the programs each cell runs — ``(seed, benchmarks)``
+        — and the cells of one lease share their programs: a worker
+        generates only the programs of its own leases.  The campaign
+        id is order-insensitive, so the sort never changes it.
+        """
+        def programs(key: str) -> tuple:
+            cell = plan.by_key[key]
+            return cell.config.seed, resolve_workload(cell.workload)[0]
+
         misses = [(key, plan.descriptors[key],
                    fault_label(plan.by_key[key]))
-                  for key in plan.misses]
+                  for key in sorted(plan.misses, key=programs)]
         return Campaign.open(plan.descriptors, misses,
                              root=self.campaign_dir,
                              attempts=self.retries + 1,

@@ -13,9 +13,11 @@ from repro.campaign import (
     drain,
     key_for,
 )
-from repro.campaign.cells import descriptor_for
+from repro.campaign.cells import cell_from_descriptor, descriptor_for
+from repro.campaign.manifest import queue_path
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.metrics import SimResult
+from repro.core.workloads import resolve_workload
 from repro.experiments import ExperimentSession
 from repro.resilience.faults import fault_label
 from repro.sweeps.presets import PRESETS
@@ -28,6 +30,15 @@ def grid(session, seeds=(0, 1), policies=("ICOUNT.1.8", "RR.1.8")):
     return [session.make_cell("2_MIX", "stream", policy, None, None,
                               session.config.with_(seed=seed))
             for policy in policies for seed in seeds]
+
+
+def cold_sweep_cells(session):
+    """The repo benchmark's cold-sweep grid: 16 2_MIX cells, 2 seeds."""
+    spec = PRESETS["policy_width"] \
+        .with_axis("workload", ("2_MIX",)) \
+        .with_axis("engine", ("stream", "gshare+BTB")) \
+        .with_axis("seed", (0, 1))
+    return [cell for _, cell in expand_cells(spec, session)]
 
 
 def as_dicts(results):
@@ -50,15 +61,35 @@ class TestCampaignIdentity:
         # that perfbench/expected.json pins, so a drifting id (a
         # descriptor change, a CACHE_FORMAT_VERSION or
         # CAMPAIGN_FORMAT_VERSION bump) must fail here first.
-        spec = PRESETS["policy_width"] \
-            .with_axis("workload", ("2_MIX",)) \
-            .with_axis("engine", ("stream", "gshare+BTB")) \
-            .with_axis("seed", (0, 1))
         session = ExperimentSession(cycles=600, warmup=300)
-        plan = session.plan(cell for _, cell
-                            in expand_cells(spec, session))
+        plan = session.plan(cold_sweep_cells(session))
         assert len(plan.by_key) == 16
         assert plan.campaign_id == "63d9d6cb03d75aa8"
+
+    def test_cold_sweep_leases_share_their_programs(self, tmp_path):
+        # Seed is the grid's innermost axis, so in plan order every
+        # 8-cell lease would need all four programs.  Enqueued grouped
+        # by program, each of the two workers' leases needs the two
+        # programs of one seed, and no program is generated twice.
+        session = ExperimentSession(cycles=600, warmup=300,
+                                    campaign_dir=str(tmp_path))
+        cells = cold_sweep_cells(session)
+        assert [cell.config.seed for cell in cells[:2]] == [0, 1]
+        info = session.plan_campaign(cells)
+        assert info.campaign_id == "63d9d6cb03d75aa8"
+        with CellQueue(queue_path(tmp_path, info.campaign_id)) as queue:
+            leases = [queue.lease(f"w{i}", limit=8) for i in range(3)]
+        programs = []
+        for lease in leases[:2]:
+            assert len(lease) == 8
+            programs.append({
+                (cell.config.seed, name)
+                for cell in map(cell_from_descriptor,
+                                (row.descriptor for row in lease))
+                for name in resolve_workload(cell.workload)[0]})
+        assert leases[2] == []
+        assert programs == [{(0, "gzip"), (0, "twolf")},
+                            {(1, "gzip"), (1, "twolf")}]
 
     def test_id_ignores_the_backend(self):
         # How cells execute — worker count, retries, timeouts, where

@@ -9,6 +9,9 @@ are imported from ``scripts/`` and driven in-process via
 """
 
 import importlib.util
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,9 @@ def load_cli(name):
     spec = importlib.util.spec_from_file_location(
         f"{name}_cli", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Registered like an imported module, so a process pool can pickle
+    # the script's functions by name.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -175,6 +181,71 @@ class TestRunExperimentsCampaign:
             CLIS["run_experiments"].main(
                 ["--only", "table1", "--cache-dir", str(tmp_path),
                  "--plan-only"])
+
+    @pytest.mark.parametrize("where", [[], ["--campaign-dir", "campaigns"]])
+    def test_resume_with_nothing_to_plan_is_an_error(self, tmp_path,
+                                                     capsys, where):
+        with pytest.raises(SystemExit,
+                           match="--resume selected no simulation"):
+            CLIS["run_experiments"].main(
+                ["--only", "table1", "--cache-dir", str(tmp_path),
+                 *where, "--resume", "anything"])
+        assert "Table 1" not in capsys.readouterr().out
+
+
+class TestTable1:
+    """Table 1 is computed in shares over --jobs processes."""
+
+    @staticmethod
+    def fail_on_second_name(monkeypatch, fail):
+        # names[1::2] is the pool child's share at --jobs 2.
+        cli = CLIS["run_experiments"]
+        victim = sorted(cli.SPECINT2000)[1]
+        real = cli.program_for
+
+        def program_for(name, seed=0):
+            if name == victim:
+                fail(name)
+            return real(name, seed)
+
+        monkeypatch.setattr(cli, "program_for", program_for)
+        return victim
+
+    def test_rows_are_the_same_at_any_jobs(self):
+        cli = CLIS["run_experiments"]
+        rows = cli.table1_rows(1)
+        assert [row["benchmark"] for row in rows] \
+            == sorted(cli.SPECINT2000)
+        assert cli.table1_rows(2) == rows
+        assert cli.table1_rows(5) == rows       # uneven shares
+
+    def test_report_is_the_same_at_any_jobs(self, capsys):
+        def body(jobs):
+            CLIS["run_experiments"].main(
+                ["--only", "table1", "--no-cache", "--jobs", str(jobs)])
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith(FOOTER)]
+
+        serial = body(1)
+        assert "## Table 1 — benchmark characteristics" in serial
+        assert body(2) == serial
+
+    def test_a_share_that_raises_fails_the_report(self, monkeypatch,
+                                                  capsys):
+        def fail(name):
+            raise RuntimeError(f"no program for {name}")
+
+        victim = self.fail_on_second_name(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=f"no program for {victim}"):
+            CLIS["run_experiments"].main(
+                ["--only", "table1", "--no-cache", "--jobs", "2"])
+        assert f"| {victim} |" not in capsys.readouterr().out
+
+    def test_a_pool_child_that_dies_fails_the_report(self, monkeypatch):
+        self.fail_on_second_name(monkeypatch, lambda name: os._exit(3))
+        with pytest.raises(BrokenProcessPool):
+            CLIS["run_experiments"].main(
+                ["--only", "table1", "--no-cache", "--jobs", "2"])
 
 
 class TestProfile:
